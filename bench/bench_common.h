@@ -53,6 +53,21 @@ inline uint64_t Divisor(const std::string& dataset, bool full) {
   return full ? std::max<uint64_t>(d / 8, 1) : d;
 }
 
+/// Opens a store a bench cached under /tmp/nxgraph_bench, or returns null
+/// when there is none or it was written at an older manifest version, so
+/// the caller rebuilds it instead of silently measuring an older build's
+/// store.
+inline std::shared_ptr<GraphStore> OpenCachedStore(const std::string& dir) {
+  if (!Env::Default()->FileExists(dir + "/" + kManifestFileName)) {
+    return nullptr;
+  }
+  auto store = OpenGraphStore(dir);
+  if (!store.ok() || (*store)->manifest().version != kManifestVersion) {
+    return nullptr;
+  }
+  return *store;
+}
+
 /// Builds (or reuses a previously built) store for a registered dataset.
 /// Stores are cached under /tmp/nxgraph_bench so repeated binaries skip
 /// preprocessing.
@@ -63,11 +78,7 @@ inline std::shared_ptr<GraphStore> GetStore(const std::string& dataset,
   const std::string dir = "/tmp/nxgraph_bench/" + dataset + "_p" +
                           std::to_string(p) + "_d" + std::to_string(divisor) +
                           (transpose ? "_t" : "");
-  Env* env = Env::Default();
-  if (env->FileExists(dir + "/manifest.nxm")) {
-    auto store = OpenGraphStore(dir);
-    if (store.ok()) return *store;
-  }
+  if (auto cached = OpenCachedStore(dir)) return cached;
   auto edges = MakeDataset(dataset, divisor);
   NX_CHECK(edges.ok()) << edges.status().ToString();
   BuildOptions options;
@@ -90,10 +101,7 @@ inline std::shared_ptr<GraphStore> GetFormatStore(const std::string& dataset,
   const std::string dir = "/tmp/nxgraph_bench/fmt_" + dataset + "_p" +
                           std::to_string(p) + "_d" + std::to_string(divisor) +
                           "_" + SubShardFormatName(format);
-  if (Env::Default()->FileExists(dir + "/" + kManifestFileName)) {
-    auto store = OpenGraphStore(dir);
-    if (store.ok()) return *store;
-  }
+  if (auto cached = OpenCachedStore(dir)) return cached;
   auto edges = MakeDataset(dataset, divisor);
   NX_CHECK(edges.ok()) << edges.status().ToString();
   BuildOptions options;

@@ -56,10 +56,8 @@ std::shared_ptr<GraphStore> GetChainStore(uint32_t p, uint32_t interval_size,
                           std::to_string(p) + "_s" +
                           std::to_string(interval_size) +
                           (weighted ? "_w" : "");
-  if (Env::Default()->FileExists(dir + "/" + kManifestFileName)) {
-    auto store = OpenGraphStore(dir);
-    if (store.ok() && (*store)->manifest().has_summaries()) return *store;
-  }
+  auto cached = bench::OpenCachedStore(dir);
+  if (cached != nullptr && cached->manifest().has_summaries()) return cached;
   BuildOptions options;
   options.num_intervals = p;
   options.build_transpose = true;

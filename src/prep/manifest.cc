@@ -108,6 +108,7 @@ Result<Manifest> Manifest::Decode(const std::string& data) {
     return Status::Corruption("manifest truncated");
   }
   if (!r.Read(&offsets_count)) return Status::Corruption("manifest truncated");
+  m.version = version;
   m.weighted = weighted != 0;
   m.has_transpose = transpose != 0;
   if (offsets_count != static_cast<uint64_t>(m.num_intervals) + 1) {

@@ -65,6 +65,9 @@ struct SubShardMeta {
 
 /// \brief Everything needed to open and schedule over a prepared graph.
 struct Manifest {
+  /// Version the manifest was decoded from; a manifest built in this
+  /// process is current. Encoding always writes kManifestVersion.
+  uint32_t version = kManifestVersion;
   uint64_t num_vertices = 0;
   uint64_t num_edges = 0;
   uint32_t num_intervals = 0;  ///< P

@@ -77,6 +77,14 @@ struct BatchQuery {
 /// RunStats).
 struct QueryStats {
   uint64_t subshards_visited = 0;  ///< sub-shards pulled through the cache
+  /// How the visits were served (cache_hits + cache_misses ==
+  /// subshards_visited). A hit was resident when the query's read-ahead
+  /// window reached it and was pinned inline on the query's own thread; a
+  /// miss was a load the query waited on — on the shared I/O pool, or
+  /// inline when prefetch_depth is 0. A miss may still have been served
+  /// by another query's in-flight or just-published load.
+  uint64_t cache_hits = 0;
+  uint64_t cache_misses = 0;
   /// Non-empty sub-shards dropped because their source summary did not
   /// intersect the query's frontier (selective scheduling; 0 when the
   /// store has no summaries or the program is not monotone-skippable).

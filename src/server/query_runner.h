@@ -5,16 +5,20 @@
 // function of the manifest (i ascending, j ascending, destination groups in
 // stored order) and its results are bit-identical whether it runs alone or
 // next to a hundred others. Sub-shards are pulled through the shared
-// SubShardCache with bounded read-ahead on the shared I/O pool; concurrent
-// queries missing on the same sub-shard share one disk load.
+// SubShardCache: resident ones are pinned inline on the query's thread,
+// and only misses go to the shared I/O pool, with bounded read-ahead;
+// concurrent queries missing on the same sub-shard share one disk load.
 #ifndef NXGRAPH_SERVER_QUERY_RUNNER_H_
 #define NXGRAPH_SERVER_QUERY_RUNNER_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -258,6 +262,90 @@ inline auto TalliedLoad(SubShardCache* cache, Visit v,
   };
 }
 
+/// \brief One round's sub-shards, served in plan order.
+///
+/// Each visit is resolved once, when it enters a lazy window ahead of the
+/// consumer. A resident visit is pinned right then on the query's own
+/// thread (SubShardCache::TryPin) and the pin is held until the consumer
+/// reaches it, so the entry cannot be evicted in between. Any other visit
+/// becomes a TalliedLoad on the round's PrefetchStream, which runs it on
+/// the shared I/O pool (inline when prefetch_depth is 0). The window stops
+/// at prefetch_depth outstanding misses (one when synchronous) or at
+/// kMaxAhead visits (prefetch_depth if larger), whichever comes first, so a
+/// round is never pinned whole up front. Pins held ahead also shield their
+/// entries from eviction; a short window limits how far that bends the
+/// LRU policy (serve-mixed on a 4-vCPU VM: 64 visits raised the hit rate
+/// by 0.04-0.07, 8 visits by 0.02-0.05, with no loss of throughput at 8).
+class RoundStream {
+ public:
+  static constexpr size_t kMaxAhead = 8;
+
+  RoundStream(const QueryContext& ctx, const std::vector<Visit>& visits,
+              std::shared_ptr<QueryDecodeTally> tally, QueryStats* stats)
+      : ctx_(ctx),
+        visits_(visits),
+        tally_(std::move(tally)),
+        stats_(stats),
+        max_misses_(ctx.prefetch_depth > 0 ? ctx.prefetch_depth : 1),
+        max_ahead_(std::max(kMaxAhead, max_misses_)),
+        loads_(ctx.io_pool, nullptr, ctx.prefetch_depth, ctx.retry, nullptr,
+               ctx.cancel) {}
+
+  /// A round cut short cancels the loads not yet started and takes back the
+  /// rest, so their pins are released on this thread before the query
+  /// returns rather than whenever the I/O pool drops its last reference.
+  ~RoundStream() {
+    if (misses_ahead_ == 0) return;
+    loads_.Cancel();
+    for (; misses_ahead_ > 0; --misses_ahead_) (void)loads_.Next();
+  }
+
+  /// The next visit's pinned sub-shard (or its load error). Call once per
+  /// visit, in plan order.
+  Result<SubShardCache::Pin> Next() {
+    Fill();
+    std::optional<SubShardCache::Pin> hit = std::move(window_.front());
+    window_.pop_front();
+    if (hit.has_value()) {
+      ++stats_->cache_hits;
+      return std::move(*hit);
+    }
+    --misses_ahead_;
+    Fill();  // keep the next misses loading while this one is waited on
+    Result<SubShardCache::Pin> pin = loads_.Next();
+    if (pin.ok()) ++stats_->cache_misses;
+    return pin;
+  }
+
+ private:
+  void Fill() {
+    while (resolved_ < visits_.size() && window_.size() < max_ahead_ &&
+           misses_ahead_ < max_misses_) {
+      const Visit& v = visits_[resolved_++];
+      std::optional<SubShardCache::Pin> hit =
+          ctx_.cache->TryPin(v.i, v.j, v.transpose);
+      if (!hit.has_value()) {
+        loads_.Push(TalliedLoad(ctx_.cache, v, tally_, ctx_.cancel));
+        ++misses_ahead_;
+      }
+      window_.push_back(std::move(hit));
+    }
+  }
+
+  const QueryContext& ctx_;
+  const std::vector<Visit>& visits_;
+  const std::shared_ptr<QueryDecodeTally> tally_;
+  QueryStats* stats_;
+  const size_t max_misses_;
+  const size_t max_ahead_;
+  PrefetchStream<SubShardCache::Pin> loads_;
+  /// Resolved, unconsumed visits in plan order; nullopt marks a miss whose
+  /// load is queued in loads_ (which returns loads in push order).
+  std::deque<std::optional<SubShardCache::Pin>> window_;
+  size_t resolved_ = 0;
+  size_t misses_ahead_ = 0;
+};
+
 /// Copies the accumulated decode tally into the query's stats (called on
 /// every exit path, including load failures, so partial stats still report
 /// the decode work done so far).
@@ -338,13 +426,7 @@ Outcome<SparseTraversalResult<typename Program::Value>> RunPointTraversal(
     if (visits.empty()) break;  // converged, or nothing left the budget funds
     stats.iterations = round;
 
-    PrefetchStream<SubShardCache::Pin> pins(ctx.io_pool, nullptr,
-                                            ctx.prefetch_depth, ctx.retry,
-                                            nullptr, ctx.cancel);
-    for (const auto& v : visits) {
-      pins.Push(
-          server_internal::TalliedLoad(ctx.cache, v, decode_tally, ctx.cancel));
-    }
+    server_internal::RoundStream pins(ctx, visits, decode_tally, &stats);
     std::vector<std::vector<Value>> acc(p);
     for (const auto& v : visits) {
       if (server_internal::Checkpoint(ctx, QueryPhase::kLoad,
@@ -373,9 +455,9 @@ Outcome<SparseTraversalResult<typename Program::Value>> RunPointTraversal(
           [&] { acc[v.j].assign(m.interval_size(v.j), Program::Identity()); });
     }
     // The round in flight is discarded WHOLE on cancellation (its
-    // accumulators die here, unapplied; `pins` cancels queued loads and
-    // drops every pin on destruction) so the surviving values are exactly
-    // rounds 1..round-1 — the same contract as a round cap.
+    // accumulators die here, unapplied; `pins` drops every pin it holds
+    // and cancels queued loads on destruction) so the surviving values are
+    // exactly rounds 1..round-1 — the same contract as a round cap.
     if (!cancelled &&
         server_internal::Checkpoint(ctx, QueryPhase::kApply,
                                     static_cast<uint32_t>(round), 0, 0)) {
@@ -506,13 +588,7 @@ Outcome<BatchResult<typename Program::Value>> RunBatchQuery(
     if (visits.empty()) break;
     stats.iterations = iter;
 
-    PrefetchStream<SubShardCache::Pin> pins(ctx.io_pool, nullptr,
-                                            ctx.prefetch_depth, ctx.retry,
-                                            nullptr, ctx.cancel);
-    for (const auto& v : visits) {
-      pins.Push(
-          server_internal::TalliedLoad(ctx.cache, v, decode_tally, ctx.cancel));
-    }
+    server_internal::RoundStream pins(ctx, visits, decode_tally, &stats);
     // Dense accumulators: non-monotone programs (PageRank) need Apply on
     // every vertex each iteration, contributions or not.
     std::vector<std::vector<Value>> acc(p);

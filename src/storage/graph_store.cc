@@ -224,9 +224,13 @@ SubShardCache::Counters SubShardCache::counters() const {
   return counters_;
 }
 
-bool SubShardCache::Contains(uint32_t i, uint32_t j, bool transpose) const {
+uint64_t SubShardCache::KeyOf(uint32_t i, uint32_t j, bool transpose) const {
   const uint64_t p = store_->num_intervals();
-  const uint64_t key = ((transpose ? p : 0) + i) * p + j;
+  return ((transpose ? p : 0) + i) * p + j;
+}
+
+bool SubShardCache::Contains(uint32_t i, uint32_t j, bool transpose) const {
+  const uint64_t key = KeyOf(i, j, transpose);
   std::lock_guard<std::mutex> lock(mu_);
   return cache_.find(key) != cache_.end();
 }
@@ -253,26 +257,45 @@ void SubShardCache::Unpin(uint64_t key) {
   if (it != cache_.end() && it->second.pins > 0) --it->second.pins;
 }
 
+void SubShardCache::UnlinkLocked(Entry* e) {
+  (e->colder != nullptr ? e->colder->warmer : coldest_) = e->warmer;
+  (e->warmer != nullptr ? e->warmer->colder : hottest_) = e->colder;
+  e->colder = e->warmer = nullptr;
+}
+
+void SubShardCache::TouchLocked(Entry* e) {
+  if (e == hottest_) return;
+  if (e->warmer != nullptr) UnlinkLocked(e);  // else not yet linked
+  e->colder = hottest_;
+  (hottest_ != nullptr ? hottest_->warmer : coldest_) = e;
+  hottest_ = e;
+}
+
+SubShardCache::Pin SubShardCache::PinLocked(Entry* e) {
+  TouchLocked(e);
+  ++e->pins;
+  return Pin(this, e->key, e->subshard);
+}
+
 bool SubShardCache::MakeRoomLocked(uint64_t bytes) {
   if (bytes_cached_ + bytes <= budget_bytes_) return true;
   if (!evictable_) return false;
-  while (bytes_cached_ + bytes > budget_bytes_) {
-    auto victim = cache_.end();
-    for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-      if (it->second.pins > 0) continue;
-      if (victim == cache_.end() ||
-          it->second.lru_tick < victim->second.lru_tick) {
-        victim = it;
-      }
-    }
-    if (victim == cache_.end()) return false;  // everything left is pinned
-    const uint64_t victim_bytes = victim->second.subshard->MemoryBytes();
+  // Evicting an entry leaves the order of the rest unchanged, so one walk
+  // from the cold end visits the victims in least-recently-used order.
+  for (Entry* e = coldest_;
+       e != nullptr && bytes_cached_ + bytes > budget_bytes_;) {
+    Entry* victim = e;
+    e = e->warmer;
+    if (victim->pins > 0) continue;
+    const uint64_t victim_bytes = victim->subshard->MemoryBytes();
     bytes_cached_ -= victim_bytes;
     counters_.evicted_bytes += victim_bytes;
     ++counters_.evictions;
-    cache_.erase(victim);
+    UnlinkLocked(victim);
+    cache_.erase(victim->key);
   }
-  return true;
+  // Still over budget: everything left is pinned.
+  return bytes_cached_ + bytes <= budget_bytes_;
 }
 
 bool SubShardCache::InsertAndMaybePinLocked(
@@ -281,11 +304,11 @@ bool SubShardCache::InsertAndMaybePinLocked(
   if (it == cache_.end()) {
     const uint64_t bytes = ss->MemoryBytes();
     if (!MakeRoomLocked(bytes)) return false;
-    it = cache_.emplace(key, Entry{ss, 0, 0}).first;
+    it = cache_.emplace(key, Entry{ss, key}).first;
     bytes_cached_ += bytes;
     counters_.inserted_bytes += bytes;
   }
-  it->second.lru_tick = ++lru_clock_;
+  TouchLocked(&it->second);
   if (pin) ++it->second.pins;
   return true;
 }
@@ -316,8 +339,7 @@ Result<std::shared_ptr<const SubShard>> SubShardCache::GetImpl(
   // which must never run under the cache lock). A cancelled Get is counted
   // as neither hit nor miss.
   if (cancel != nullptr && cancel->cancelled()) return cancel->ToStatus();
-  const uint64_t p = store_->num_intervals();
-  const uint64_t key = ((transpose ? p : 0) + i) * p + j;
+  const uint64_t key = KeyOf(i, j, transpose);
   std::shared_ptr<InFlight> flight;
   bool leader = false;
   {
@@ -325,10 +347,10 @@ Result<std::shared_ptr<const SubShard>> SubShardCache::GetImpl(
     auto it = cache_.find(key);
     if (it != cache_.end()) {
       ++counters_.hits;
-      it->second.lru_tick = ++lru_clock_;
       if (pin) {
-        ++it->second.pins;
-        *out_pin = Pin(this, key, it->second.subshard);
+        *out_pin = PinLocked(&it->second);
+      } else {
+        TouchLocked(&it->second);
       }
       return it->second.subshard;
     }
@@ -397,11 +419,7 @@ Result<std::shared_ptr<const SubShard>> SubShardCache::GetImpl(
       // load is handed over as a transient copy.
       std::lock_guard<std::mutex> lock(mu_);
       auto it = cache_.find(key);
-      if (it != cache_.end()) {
-        it->second.lru_tick = ++lru_clock_;
-        ++it->second.pins;
-        *out_pin = Pin(this, key, it->second.subshard);
-      }
+      if (it != cache_.end()) *out_pin = PinLocked(&it->second);
     }
     return ss;
   }
@@ -439,10 +457,20 @@ Result<std::shared_ptr<const SubShard>> SubShardCache::GetImpl(
   return ss;
 }
 
+std::optional<SubShardCache::Pin> SubShardCache::TryPin(uint32_t i,
+                                                        uint32_t j,
+                                                        bool transpose) {
+  const uint64_t key = KeyOf(i, j, transpose);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = cache_.find(key);
+  if (it == cache_.end()) return std::nullopt;
+  ++counters_.hits;
+  return PinLocked(&it->second);
+}
+
 void SubShardCache::Put(uint32_t i, uint32_t j, bool transpose,
                         std::shared_ptr<const SubShard> subshard) {
-  const uint64_t p = store_->num_intervals();
-  const uint64_t key = ((transpose ? p : 0) + i) * p + j;
+  const uint64_t key = KeyOf(i, j, transpose);
   std::lock_guard<std::mutex> lock(mu_);
   if (cache_.find(key) != cache_.end()) return;
   InsertAndMaybePinLocked(key, subshard, /*pin=*/false);
@@ -456,6 +484,7 @@ void SubShardCache::Clear() {
       continue;
     }
     bytes_cached_ -= it->second.subshard->MemoryBytes();
+    UnlinkLocked(&it->second);
     it = cache_.erase(it);
   }
 }

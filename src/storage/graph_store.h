@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -149,6 +150,18 @@ class GraphStore {
 ///   reading. If pins leave no room, the load degrades to a transient copy
 ///   exactly like the fill-once path.
 ///
+/// Recency is an intrusive doubly-linked list threaded through the
+/// entries: every hit, pin and insert moves the entry to the hot end in
+/// O(1), and eviction walks from the cold end, skipping pinned entries.
+/// The victims are therefore always the unpinned entries touched longest
+/// ago, and an eviction costs one unlink instead of a scan of the map.
+///
+/// Two read paths: Get / GetPinned resolve any key (loading on a miss);
+/// TryPin is the hit-only path — it pins a resident entry or returns
+/// nothing, never loading and never waiting. The query runner resolves
+/// visits through TryPin on the query's own thread and sends only the keys
+/// it returns nothing for to the I/O pool as GetPinned loads.
+///
 /// Thread-safe. Concurrent misses on the same key share a single disk load
 /// (per-key in-flight tracking), and no lock is held during disk I/O.
 /// Returned shared_ptrs (and Pins) keep the decoded data alive regardless
@@ -158,10 +171,13 @@ class SubShardCache {
  public:
   /// Monotonic hit/miss/byte counters (relaxed snapshots; exposed as
   /// server-level stats). hits + misses equals the total number of Get /
-  /// GetPinned calls: a call served from the map is a hit, everything else
-  /// — leader load or waiting on another caller's in-flight load — is a
-  /// miss. bytes_cached == inserted_bytes - evicted_bytes at all times
-  /// (Clear resets bytes_cached and is not counted as eviction).
+  /// GetPinned calls plus successful TryPin calls: a call served from the
+  /// map is a hit, everything else — leader load or waiting on another
+  /// caller's in-flight load — is a miss. A failed TryPin counts nothing;
+  /// the load its caller issues next counts the miss (or the hit, if the
+  /// key landed in between). bytes_cached == inserted_bytes -
+  /// evicted_bytes at all times (Clear resets bytes_cached and is not
+  /// counted as eviction).
   struct Counters {
     uint64_t hits = 0;
     uint64_t misses = 0;
@@ -243,6 +259,13 @@ class SubShardCache {
   Result<Pin> GetPinned(uint32_t i, uint32_t j, bool transpose = false,
                         const CancelToken* cancel = nullptr);
 
+  /// Hit-only pin: when the key is resident right now, pins it (counted as
+  /// a hit and refreshed in the recency order, like a GetPinned hit) and
+  /// returns the Pin. Otherwise returns nullopt without counting, loading
+  /// or waiting on an in-flight load — the caller decides where the miss
+  /// runs.
+  std::optional<Pin> TryPin(uint32_t i, uint32_t j, bool transpose = false);
+
   /// Inserts a sub-shard decoded externally (the engine's first-iteration
   /// warm-up loads whole rows through the prefetch pipeline and deposits
   /// them here). Budget-checked like Get; a no-op if the key is already
@@ -282,11 +305,25 @@ class SubShardCache {
     std::shared_ptr<const SubShard> subshard;
   };
 
+  /// A resident sub-shard. Map nodes never move, so the recency links can
+  /// point straight at entries.
   struct Entry {
     std::shared_ptr<const SubShard> subshard;
+    uint64_t key = 0;
     uint32_t pins = 0;
-    uint64_t lru_tick = 0;
+    Entry* colder = nullptr;  ///< toward coldest_ (next eviction candidate)
+    Entry* warmer = nullptr;  ///< toward hottest_ (most recently touched)
   };
+
+  uint64_t KeyOf(uint32_t i, uint32_t j, bool transpose) const;
+
+  /// mu_ held. Moves `e` to the hot end of the recency list (links it if
+  /// it is not in the list yet).
+  void TouchLocked(Entry* e);
+  /// mu_ held. Takes `e` out of the recency list.
+  void UnlinkLocked(Entry* e);
+  /// mu_ held. Refreshes `e`'s recency and pins it.
+  Pin PinLocked(Entry* e);
 
   /// Shared implementation of Get / GetPinned. When `pin` is set and the
   /// entry is (still) resident after the load, `*out_pin` receives the
@@ -297,7 +334,8 @@ class SubShardCache {
                                                   const CancelToken* cancel);
 
   /// mu_ held. True when `bytes` fit within the budget, evicting
-  /// least-recently-used unpinned entries first if the policy allows.
+  /// least-recently-used unpinned entries (walking the recency list from
+  /// the cold end) first if the policy allows.
   bool MakeRoomLocked(uint64_t bytes);
 
   /// mu_ held. Inserts (if room) and optionally pins; returns whether the
@@ -313,11 +351,13 @@ class SubShardCache {
   const bool evictable_;
   uint64_t bytes_cached_ = 0;
   uint64_t bytes_loaded_ = 0;
-  uint64_t lru_clock_ = 0;
   Counters counters_;
   mutable std::mutex mu_;
   // Key: ((transpose * P) + i) * P + j.
   std::unordered_map<uint64_t, Entry> cache_;
+  // Recency list over cache_'s entries, coldest to hottest.
+  Entry* coldest_ = nullptr;
+  Entry* hottest_ = nullptr;
   std::unordered_map<uint64_t, std::shared_ptr<InFlight>> inflight_;
 };
 

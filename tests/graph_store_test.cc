@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "src/algos/reference.h"
 #include "src/prep/manifest.h"
 #include "src/storage/graph_store.h"
+#include "src/util/random.h"
 #include "tests/test_util.h"
 
 namespace nxgraph {
@@ -303,6 +307,210 @@ TEST(SubShardCacheTest, ConcurrentPinnedAccessUnderEviction) {
             static_cast<uint64_t>(kThreads) * kIters);
   EXPECT_EQ(cache.bytes_cached(), c.inserted_bytes - c.evicted_bytes);
   EXPECT_LE(cache.bytes_cached(), total / 4);
+}
+
+// Reference model of the evictable cache written as the original rule: a
+// full scan for the unpinned entry with the smallest last-access tick. The
+// differential test below replays one random trace against it and the
+// real cache, whose recency list must pick exactly the same victims.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(uint64_t budget) : budget_(budget) {}
+
+  bool Contains(uint64_t key) const { return entries_.count(key) > 0; }
+
+  /// A lookup: on a hit, counts it, refreshes the tick and optionally pins.
+  bool Hit(uint64_t key, bool pin) {
+    auto it = entries_.find(key);
+    if (it == entries_.end()) return false;
+    ++counters.hits;
+    it->second.tick = ++clock_;
+    if (pin) ++it->second.pins;
+    return true;
+  }
+
+  /// Inserts a non-resident key, evicting first; false when pins leave no
+  /// room (the load stays a transient copy).
+  bool Insert(uint64_t key, uint64_t bytes, bool pin) {
+    while (bytes_cached + bytes > budget_) {
+      auto victim = entries_.end();
+      for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+        if (it->second.pins > 0) continue;
+        if (victim == entries_.end() || it->second.tick < victim->second.tick) {
+          victim = it;
+        }
+      }
+      if (victim == entries_.end()) return false;
+      bytes_cached -= victim->second.bytes;
+      counters.evicted_bytes += victim->second.bytes;
+      ++counters.evictions;
+      victims.push_back(victim->first);
+      entries_.erase(victim);
+    }
+    entries_[key] = {bytes, pin ? 1u : 0u, ++clock_};
+    bytes_cached += bytes;
+    counters.inserted_bytes += bytes;
+    return true;
+  }
+
+  void Unpin(uint64_t key) { --entries_.at(key).pins; }
+
+  void Clear() {
+    for (auto it = entries_.begin(); it != entries_.end();) {
+      if (it->second.pins > 0) {
+        ++it;
+        continue;
+      }
+      bytes_cached -= it->second.bytes;
+      cleared_bytes += it->second.bytes;
+      it = entries_.erase(it);
+    }
+  }
+
+  uint64_t pins() const {
+    uint64_t n = 0;
+    for (const auto& [key, e] : entries_) n += e.pins;
+    return n;
+  }
+
+  SubShardCache::Counters counters;
+  uint64_t bytes_cached = 0;
+  uint64_t cleared_bytes = 0;     ///< dropped by Clear, which is no eviction
+  std::vector<uint64_t> victims;  ///< in eviction order
+
+ private:
+  struct Entry {
+    uint64_t bytes;
+    uint32_t pins;
+    uint64_t tick;
+  };
+  const uint64_t budget_;
+  std::map<uint64_t, Entry> entries_;
+  uint64_t clock_ = 0;
+};
+
+// Differential eviction order: a seeded random trace of Get, GetPinned,
+// TryPin, Unpin, Put and Clear leaves the real cache and the reference
+// scan with the same residents after every step, so the victims and their
+// order are identical; counters and pins agree throughout, and
+// bytes_cached == inserted_bytes - evicted_bytes (less what Clear dropped).
+TEST(SubShardCacheTest, RecencyListEvictsLikeReferenceScan) {
+  EdgeList edges = testing::RandomGraph(200, 3000, 18);
+  auto ms = testing::BuildMemStore(edges, 4);
+  const uint32_t p = 4;
+  struct Key {
+    uint32_t i, j;
+    bool transpose;
+  };
+  std::vector<Key> keys;
+  std::vector<std::shared_ptr<const SubShard>> loaded;
+  uint64_t total = 0;
+  for (int t = 0; t < 2; ++t) {
+    for (uint32_t i = 0; i < p; ++i) {
+      for (uint32_t j = 0; j < p; ++j) {
+        auto ss = ms.store->LoadSubShard(i, j, t == 1);
+        ASSERT_TRUE(ss.ok()) << ss.status().ToString();
+        keys.push_back({i, j, t == 1});
+        loaded.push_back(std::make_shared<const SubShard>(std::move(*ss)));
+        total += loaded.back()->MemoryBytes();
+      }
+    }
+  }
+
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    // A third of the working set fits: most misses evict.
+    SubShardCache cache(ms.store, total / 3, /*evictable=*/true);
+    ReferenceLru model(total / 3);
+    std::vector<std::pair<uint64_t, SubShardCache::Pin>> held;
+    size_t victims_seen = 0;
+    Xoshiro256 rng(seed);
+    for (int step = 0; step < 3000; ++step) {
+      const uint64_t k = rng.NextBounded(keys.size());
+      const Key& key = keys[k];
+      const uint64_t bytes = loaded[k]->MemoryBytes();
+      // At most 6 pins are held, so pinned entries slow eviction but
+      // never stop it.
+      const uint64_t op = held.size() >= 6 ? 80 : rng.NextBounded(100);
+      bool cleared = false;
+      std::vector<bool> before(keys.size());
+      for (size_t x = 0; x < keys.size(); ++x) before[x] = model.Contains(x);
+      if (op < 30) {  // Get
+        if (!model.Hit(k, false)) {
+          ++model.counters.misses;
+          model.Insert(k, bytes, false);
+        }
+        ASSERT_TRUE(cache.Get(key.i, key.j, key.transpose).ok());
+      } else if (op < 50) {  // GetPinned
+        bool resident = model.Hit(k, true);
+        if (!resident) {
+          ++model.counters.misses;
+          resident = model.Insert(k, bytes, true);
+        }
+        auto pin = cache.GetPinned(key.i, key.j, key.transpose);
+        ASSERT_TRUE(pin.ok());
+        ASSERT_EQ(pin->pinned(), resident);
+        if (resident) held.emplace_back(k, std::move(*pin));
+      } else if (op < 70) {  // TryPin
+        std::optional<SubShardCache::Pin> pin =
+            cache.TryPin(key.i, key.j, key.transpose);
+        ASSERT_EQ(pin.has_value(), model.Hit(k, true));
+        if (pin.has_value()) {
+          ASSERT_TRUE(pin->pinned());
+          held.emplace_back(k, std::move(*pin));
+        }
+      } else if (op < 90) {  // Unpin
+        if (held.empty()) continue;
+        const size_t h = rng.NextBounded(held.size());
+        model.Unpin(held[h].first);
+        held[h].second.Release();
+        held.erase(held.begin() + static_cast<std::ptrdiff_t>(h));
+      } else if (op < 98) {  // Put
+        if (!model.Contains(k)) model.Insert(k, bytes, false);
+        cache.Put(key.i, key.j, key.transpose, loaded[k]);
+      } else {  // Clear
+        model.Clear();
+        cache.Clear();
+        cleared = true;
+      }
+      if (!cleared) {
+        // Whatever left the real cache in this step was evicted. Both
+        // sides start the step with the same residents, so comparing each
+        // step's victims compares the whole victim sequence (the order
+        // inside one step is not observable from outside the cache).
+        std::vector<uint64_t> evicted;
+        for (uint64_t x = 0; x < keys.size(); ++x) {
+          if (before[x] &&
+              !cache.Contains(keys[x].i, keys[x].j, keys[x].transpose)) {
+            evicted.push_back(x);
+          }
+        }
+        std::vector<uint64_t> expected(
+            model.victims.begin() + static_cast<std::ptrdiff_t>(victims_seen),
+            model.victims.end());
+        std::sort(expected.begin(), expected.end());
+        ASSERT_EQ(evicted, expected) << "step " << step;
+      }
+      victims_seen = model.victims.size();
+      for (size_t x = 0; x < keys.size(); ++x) {
+        ASSERT_EQ(cache.Contains(keys[x].i, keys[x].j, keys[x].transpose),
+                  model.Contains(x))
+            << "step " << step << " key " << x;
+      }
+      const SubShardCache::Counters c = cache.counters();
+      ASSERT_EQ(c.hits, model.counters.hits);
+      ASSERT_EQ(c.misses, model.counters.misses);
+      ASSERT_EQ(c.inserted_bytes, model.counters.inserted_bytes);
+      ASSERT_EQ(c.evicted_bytes, model.counters.evicted_bytes);
+      ASSERT_EQ(c.evictions, model.counters.evictions);
+      ASSERT_EQ(cache.bytes_cached(), model.bytes_cached);
+      ASSERT_EQ(cache.bytes_cached(),
+                c.inserted_bytes - c.evicted_bytes - model.cleared_bytes);
+      ASSERT_EQ(cache.pinned_entries(), model.pins());
+    }
+    EXPECT_GT(model.counters.evictions, 100u);
+    EXPECT_GT(model.counters.hits, 100u);
+  }
 }
 
 TEST(GraphStoreTest, PerBlobVerifyMaskControlsChecksums) {

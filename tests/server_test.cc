@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <memory>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "src/algos/programs.h"
 #include "src/algos/reference.h"
 #include "src/server/query.h"
+#include "src/server/query_runner.h"
 #include "tests/test_util.h"
 
 namespace nxgraph {
@@ -362,6 +367,291 @@ TEST(ServerTest, DecodePathsBitIdenticalAndCountersReported) {
   per_query_total += scalar.pagerank.result.stats.bulk_decode_calls;
   per_query_total += scalar.wcc.result.stats.bulk_decode_calls;
   EXPECT_EQ(per_query_total, scalar_stats.bulk_decode_calls);
+}
+
+// Watches every positional read (each sub-shard load is one) of a wrapped
+// Env: counts reads, tracks how many run at once, and can hold reads back.
+// While held, a read waits until `release_at` reads are in flight together
+// or Release() is called. A 10 s safety valve releases all reads, so a
+// broken build fails the count the test asserts instead of hanging.
+class ReadProbe {
+ public:
+  void Enter() {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++reads_;
+    ++in_flight_;
+    if (in_flight_ > max_in_flight_) max_in_flight_ = in_flight_;
+    if (in_flight_ >= release_at_) held_ = false;
+    cv_.notify_all();
+    if (!cv_.wait_for(lock, std::chrono::seconds(10), [&] { return !held_; })) {
+      held_ = false;  // one timeout releases every read
+      cv_.notify_all();
+    }
+  }
+  void Exit() {
+    std::lock_guard<std::mutex> lock(mu_);
+    --in_flight_;
+  }
+  /// Holds reads until `n` are in flight at once (or Release()).
+  void HoldUntilInFlight(int n) {
+    std::lock_guard<std::mutex> lock(mu_);
+    held_ = true;
+    release_at_ = n;
+  }
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      held_ = false;
+    }
+    cv_.notify_all();
+  }
+  bool WaitForInFlight(int n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [&] { return in_flight_ >= n; });
+  }
+  int reads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return reads_;
+  }
+  int max_in_flight() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return max_in_flight_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_ = false;
+  int release_at_ = 0;
+  int reads_ = 0;
+  int in_flight_ = 0;
+  int max_in_flight_ = 0;
+};
+
+class ProbedEnv : public Env {
+ public:
+  ProbedEnv(Env* base, ReadProbe* probe) : base_(base), probe_(probe) {}
+
+  Status NewSequentialFile(const std::string& path,
+                           std::unique_ptr<SequentialFile>* out) override {
+    return base_->NewSequentialFile(path, out);
+  }
+  Status NewRandomAccessFile(const std::string& path,
+                             std::unique_ptr<RandomAccessFile>* out) override {
+    NX_RETURN_NOT_OK(base_->NewRandomAccessFile(path, out));
+    *out = std::make_unique<ProbedFile>(std::move(*out), probe_);
+    return Status::OK();
+  }
+  Status NewWritableFile(const std::string& path,
+                         std::unique_ptr<WritableFile>* out) override {
+    return base_->NewWritableFile(path, out);
+  }
+  Status NewRandomWriteFile(const std::string& path,
+                            std::unique_ptr<RandomWriteFile>* out) override {
+    return base_->NewRandomWriteFile(path, out);
+  }
+  bool FileExists(const std::string& path) override {
+    return base_->FileExists(path);
+  }
+  Result<uint64_t> GetFileSize(const std::string& path) override {
+    return base_->GetFileSize(path);
+  }
+  Status CreateDirs(const std::string& path) override {
+    return base_->CreateDirs(path);
+  }
+  Status RemoveFile(const std::string& path) override {
+    return base_->RemoveFile(path);
+  }
+  Status RemoveDirRecursively(const std::string& path) override {
+    return base_->RemoveDirRecursively(path);
+  }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    return base_->RenameFile(from, to);
+  }
+  Status ListDir(const std::string& path,
+                 std::vector<std::string>* names) override {
+    return base_->ListDir(path, names);
+  }
+
+ private:
+  struct ProbedFile : RandomAccessFile {
+    ProbedFile(std::unique_ptr<RandomAccessFile> base, ReadProbe* probe)
+        : base(std::move(base)), probe(probe) {}
+    Status ReadAt(uint64_t offset, size_t n, void* buf,
+                  size_t* bytes_read) const override {
+      probe->Enter();
+      Status s = base->ReadAt(offset, n, buf, bytes_read);
+      probe->Exit();
+      return s;
+    }
+    std::unique_ptr<RandomAccessFile> base;
+    ReadProbe* probe;
+  };
+
+  Env* base_;
+  ReadProbe* probe_;
+};
+
+Outcome<BatchResult<double>> RunPageRank(GraphServer& server, int iterations) {
+  PageRankProgram pr;
+  pr.num_vertices = server.store().num_vertices();
+  BatchQuery spec;
+  spec.max_iterations = iterations;
+  return server.SubmitBatch(pr, spec).Wait();
+}
+
+// True misses still overlap: on a cold cache at prefetch_depth=2, two
+// sub-shard reads are in flight at once on the I/O pool. Once the cache is
+// warm, the same query is served wholly by inline hits and reads nothing.
+TEST(ServerTest, TrueMissesOverlapAndWarmHitsReadNothing) {
+  EdgeList edges = testing::RandomGraph(200, 3000, 83);
+  auto ms = testing::BuildMemStore(edges, 4);
+  ReadProbe probe;
+  ProbedEnv env(ms.env.get(), &probe);
+  auto server = GraphServer::Open(&env, "g", ServerOpts(1, UINT64_MAX));
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  probe.HoldUntilInFlight(2);
+  const int reads_before = probe.reads();
+  auto cold = RunPageRank(**server, 1);
+  ASSERT_TRUE(cold.status.ok()) << cold.status.ToString();
+  EXPECT_GE(probe.max_in_flight(), 2);
+  const QueryStats& c = cold.result.stats;
+  EXPECT_GT(c.subshards_visited, 2u);
+  EXPECT_EQ(c.cache_hits, 0u);
+  EXPECT_EQ(c.cache_misses, c.subshards_visited);
+  EXPECT_EQ(probe.reads() - reads_before,
+            static_cast<int>(c.subshards_visited));
+
+  const int reads_warm = probe.reads();
+  auto warm = RunPageRank(**server, 1);
+  ASSERT_TRUE(warm.status.ok()) << warm.status.ToString();
+  EXPECT_EQ(warm.result.values, cold.result.values);
+  const QueryStats& w = warm.result.stats;
+  EXPECT_EQ(w.cache_hits, w.subshards_visited);
+  EXPECT_EQ(w.cache_misses, 0u);
+  EXPECT_EQ(probe.reads(), reads_warm);
+}
+
+// Results do not depend on how visits are served: synchronous or
+// read-ahead loads, and no, partial or full residency, give bit-identical
+// answers, and every visit is counted as exactly one hit or one miss.
+TEST(ServerTest, PrefetchDepthAndCacheBudgetBitIdentical) {
+  EdgeList edges = testing::RandomGraph(200, 3000, 84, /*weighted=*/true);
+  auto ms = testing::BuildMemStore(edges, 4);
+  const auto& m = ms.store->manifest();
+  const uint64_t total_decoded =
+      m.TotalDecodedSubShardBytes(false) + m.TotalDecodedSubShardBytes(true);
+
+  bool have_baseline = false;
+  MixedOutcomes baseline;
+  for (const size_t depth : {size_t{0}, size_t{2}}) {
+    for (const uint64_t budget : {uint64_t{0}, total_decoded / 2, UINT64_MAX}) {
+      SCOPED_TRACE("prefetch_depth " + std::to_string(depth) + ", budget " +
+                   std::to_string(budget));
+      GraphServer::Options o = ServerOpts(4, budget);
+      o.prefetch_depth = depth;
+      auto server = GraphServer::Open(ms.env.get(), "g", o);
+      ASSERT_TRUE(server.ok()) << server.status().ToString();
+      MixedOutcomes run = RunMixedWorkload(**server);
+      EXPECT_EQ((*server)->cache()->pinned_entries(), 0u);
+
+      auto check_stats = [](const QueryStats& st) {
+        EXPECT_EQ(st.cache_hits + st.cache_misses, st.subshards_visited);
+      };
+      for (const auto& q : run.points) {
+        ASSERT_TRUE(q.status.ok()) << q.status.ToString();
+        check_stats(q.result.stats);
+      }
+      ASSERT_TRUE(run.pagerank.status.ok());
+      ASSERT_TRUE(run.wcc.status.ok());
+      check_stats(run.pagerank.result.stats);
+      check_stats(run.wcc.result.stats);
+      if (budget == 0) {
+        EXPECT_EQ(run.pagerank.result.stats.cache_hits, 0u);
+      }
+
+      if (!have_baseline) {
+        baseline = std::move(run);
+        have_baseline = true;
+        continue;
+      }
+      ASSERT_EQ(run.points.size(), baseline.points.size());
+      for (size_t q = 0; q < run.points.size(); ++q) {
+        EXPECT_EQ(run.points[q].result.vertices,
+                  baseline.points[q].result.vertices);
+        EXPECT_EQ(run.points[q].result.hops, baseline.points[q].result.hops);
+        EXPECT_EQ(run.points[q].result.costs, baseline.points[q].result.costs);
+      }
+      EXPECT_EQ(run.pagerank.result.values, baseline.pagerank.result.values);
+      EXPECT_EQ(run.wcc.result.values, baseline.wcc.result.values);
+    }
+  }
+}
+
+// Cancelling mid-round while the read-ahead window holds hits pinned ahead
+// and misses are in flight releases every pin.
+TEST(ServerTest, CancelMidRoundReleasesPinsHeldAhead) {
+  EdgeList edges = testing::RandomGraph(200, 3000, 85);
+  auto ms = testing::BuildMemStore(edges, 4);
+  ReadProbe probe;
+  ProbedEnv env(ms.env.get(), &probe);
+  auto store = GraphStore::Open(&env, "g");
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  SubShardCache cache(*store, UINT64_MAX, /*evictable=*/true);
+  ThreadPool io_pool(2);
+  auto degrees = (*store)->LoadOutDegrees();
+  ASSERT_TRUE(degrees.ok());
+
+  // PageRank's first round visits every non-empty forward sub-shard in
+  // row-major order. Warm all but the 5th and 7th, so the window opens on
+  // hits and stops at its second miss.
+  const Manifest& m = (*store)->manifest();
+  int visit = 0;
+  for (uint32_t i = 0; i < m.num_intervals; ++i) {
+    for (uint32_t j = 0; j < m.num_intervals; ++j) {
+      if (m.subshard(i, j).num_edges == 0) continue;
+      if (visit != 4 && visit != 6) {
+        ASSERT_TRUE(cache.Get(i, j).ok());
+      }
+      ++visit;
+    }
+  }
+  ASSERT_GT(visit, 8);
+
+  CancelToken token;
+  QueryContext ctx;
+  ctx.store = store->get();
+  ctx.cache = &cache;
+  ctx.io_pool = &io_pool;
+  ctx.prefetch_depth = 2;
+  ctx.out_degrees = &*degrees;
+  ctx.cancel = &token;
+  // Checkpoints: 0 plans round 1, 1 precedes visit 0, 2 precedes visit 1 —
+  // by then the window has been filled.
+  int checkpoint = 0;
+  uint64_t pinned_at_cancel = 0;
+  bool misses_in_flight = false;
+  ctx.boundary_hook = [&] {
+    if (checkpoint++ != 2) return;
+    misses_in_flight = probe.WaitForInFlight(2);
+    pinned_at_cancel = cache.pinned_entries();
+    token.Cancel(CancelReason::kClient);
+    probe.Release();
+  };
+  probe.HoldUntilInFlight(1 << 20);  // hold every load until the cancel
+
+  PageRankProgram pr;
+  pr.num_vertices = m.num_vertices;
+  auto out = RunBatchQuery(pr, ctx, EdgeDirection::kForward, 3, 0);
+  EXPECT_TRUE(out.status.IsCancelled()) << out.status.ToString();
+  EXPECT_EQ(out.result.stats.iterations, 0);
+  EXPECT_TRUE(misses_in_flight);
+  EXPECT_GT(pinned_at_cancel, 0u);  // hits 1-3 and 5, pinned ahead
+  EXPECT_EQ(cache.pinned_entries(), 0u);
+  const auto c = cache.counters();
+  EXPECT_EQ(cache.bytes_cached(), c.inserted_bytes - c.evicted_bytes);
 }
 
 }  // namespace
