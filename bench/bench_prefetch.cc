@@ -110,11 +110,10 @@ int main(int argc, char** argv) {
   // measurement instead of a kernel-readahead artifact.
   std::printf(
       "\n=== Backend sweep: same workload on the real filesystem "
-      "(page cache warm for buffered/uring; direct bypasses it) ===\n\n");
+      "(page cache warm for buffered; direct bypasses it) ===\n\n");
   bench::Table backends({"Backend (req)", "Backend (eff)", "Depth",
                          "Wall (s)", "I/O wait (s)", "MTEPS"});
-  for (IoBackend backend :
-       {IoBackend::kBuffered, IoBackend::kDirect, IoBackend::kUring}) {
+  for (IoBackend backend : {IoBackend::kBuffered, IoBackend::kDirect}) {
     for (int depth : {0, 2}) {
       DepthResult r = RunAtDepth(store, depth, iterations, backend);
       backends.AddRow({IoBackendName(backend), r.stats.io_backend,

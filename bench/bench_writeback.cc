@@ -104,12 +104,11 @@ int main(int argc, char** argv) {
   // group commit) has real work to hide on the direct backend.
   std::printf(
       "\n=== Backend sweep: same workload on the real filesystem "
-      "(page cache absorbs buffered/uring writes; direct pays the device) "
+      "(page cache absorbs buffered writes; direct pays the device) "
       "===\n\n");
   bench::Table backends({"Backend (req)", "Backend (eff)", "Budget",
                          "Wall (s)", "Write wait (s)", "MTEPS"});
-  for (IoBackend backend :
-       {IoBackend::kBuffered, IoBackend::kDirect, IoBackend::kUring}) {
+  for (IoBackend backend : {IoBackend::kBuffered, IoBackend::kDirect}) {
     for (uint64_t budget : {uint64_t{0}, uint64_t{8} << 20}) {
       BudgetResult r = RunAtBudget(store, budget, iterations, backend);
       backends.AddRow({IoBackendName(backend), r.stats.io_backend,

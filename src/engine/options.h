@@ -106,18 +106,15 @@ struct RunOptions {
   ///   direct   — O_DIRECT with user-space aligned buffering, so the
   ///              prefetch/write-behind windows face the device instead of
   ///              the page cache (per-file buffered fallback where the
-  ///              filesystem refuses O_DIRECT);
-  ///   uring    — io_uring submission/completion rings; in-flight reads
-  ///              and writes execute asynchronously in the kernel (falls
-  ///              back to buffered when the kernel/build lacks io_uring).
+  ///              filesystem refuses O_DIRECT).
   ///
-  /// The request is resolved by ChooseStrategy and may be downgraded: uring
-  /// without kernel support resolves to buffered, and a store that does not
-  /// live on the real filesystem (MemEnv, ThrottledEnv, FaultInjectionEnv)
-  /// always runs buffered through its own Env — backends are real-device
-  /// optimizations, and modelled/hermetic Envs already define their own I/O
-  /// semantics. RunStats::io_backend reports what actually served the run.
-  /// Results are bit-identical across backends; only timing changes.
+  /// Engine setup resolves the request: a store that does not live on the
+  /// real filesystem (MemEnv, ThrottledEnv, FaultInjectionEnv) always runs
+  /// buffered through its own Env, and so does a store whose filesystem
+  /// refuses O_DIRECT outright — backends are real-device optimizations,
+  /// and modelled/hermetic Envs already define their own I/O semantics.
+  /// RunStats::io_backend reports what actually served the run. Results
+  /// are bit-identical across backends; only timing changes.
   ///
   /// Defaults to buffered, overridable via the NXGRAPH_IO_BACKEND
   /// environment variable so the whole test/bench suite can be swept
@@ -231,9 +228,9 @@ struct RunStats {
   /// Effective (budget-arbitrated) write-behind buffer actually used.
   uint64_t writeback_buffer_bytes = 0;
   int io_threads = 0;              ///< dedicated I/O threads actually used
-  /// Env backend that actually served the run ("buffered" / "direct" /
-  /// "uring") — the requested RunOptions::io_backend after the support
-  /// resolution described there.
+  /// Env backend that actually served the run ("buffered" / "direct") —
+  /// the requested RunOptions::io_backend after the support resolution
+  /// described there.
   std::string io_backend;
 
   // -- checkpoint/restart -------------------------------------------------
@@ -257,9 +254,6 @@ struct RunStats {
   double retry_wait_seconds = 0;
   /// Decode corruptions given a second read (GraphStore re-read path).
   uint64_t checksum_rereads = 0;
-  /// Mid-run I/O backend downgrades (uring ring died -> reopened
-  /// buffered). 0 or 1: a downgraded run is already on the buffered floor.
-  uint64_t backend_downgrades = 0;
   /// Write/flush errors suppressed by first-error-wins reporting at
   /// write-behind Drain barriers (each was also logged).
   uint64_t dropped_write_errors = 0;

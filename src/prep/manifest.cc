@@ -24,6 +24,13 @@ void EncodeSubShardTable(std::string* out,
   }
 }
 
+// Smallest encoded size of one sub-shard table entry: offset, size and
+// num_edges (8 B each) plus num_dsts (4 B), then the v2 format byte, then
+// the v3 summary kind byte and word count (filter words may be absent).
+size_t MinSubShardEntryBytes(uint32_t version) {
+  return version >= 3 ? 32 : version == 2 ? 29 : 28;
+}
+
 // `version` selects the per-entry layout: version 1 entries end at
 // num_dsts (every blob implied NXS1), version 2 adds the format byte,
 // version 3 adds the source-summary kind byte and filter words.
@@ -31,7 +38,9 @@ bool DecodeSubShardTable(SliceReader* r, uint32_t version,
                          std::vector<SubShardMeta>* table) {
   uint64_t count = 0;
   if (!r->Read(&count)) return false;
-  if (count > (1ULL << 32)) return false;  // implausible; corrupt
+  // A count the remaining bytes cannot hold is corrupt; rejecting it before
+  // the resize keeps a tiny manifest from asking for gigabytes.
+  if (count > r->remaining() / MinSubShardEntryBytes(version)) return false;
   table->resize(count);
   for (auto& s : *table) {
     if (!r->Read(&s.offset) || !r->Read(&s.size) || !r->Read(&s.num_edges) ||
@@ -114,9 +123,19 @@ Result<Manifest> Manifest::Decode(const std::string& data) {
   if (offsets_count != static_cast<uint64_t>(m.num_intervals) + 1) {
     return Status::Corruption("manifest interval table size mismatch");
   }
+  if (offsets_count > r.remaining() / sizeof(VertexId)) {
+    return Status::Corruption("manifest truncated");
+  }
   m.interval_offsets.resize(offsets_count);
   for (auto& v : m.interval_offsets) {
     if (!r.Read(&v)) return Status::Corruption("manifest truncated");
+  }
+  // Intervals partition [0, num_vertices): the offsets start at 0, never
+  // decrease and end at num_vertices.
+  if (m.interval_offsets.front() != 0 ||
+      m.interval_offsets.back() != m.num_vertices ||
+      !std::is_sorted(m.interval_offsets.begin(), m.interval_offsets.end())) {
+    return Status::Corruption("manifest interval offsets malformed");
   }
   if (!DecodeSubShardTable(&r, version, &m.subshards) ||
       !DecodeSubShardTable(&r, version, &m.subshards_transpose)) {

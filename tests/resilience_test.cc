@@ -3,12 +3,9 @@
 // read/write/flush errors and short reads — results must be bit-identical to
 // the fault-free run, with the retries visible in RunStats. A zero-rate
 // FlakyEnv run must report zero retries (the retry layer is pure bookkeeping
-// on a healthy device). The downgrade test kills the io_uring ring mid-run
-// and requires the run to complete through the buffered reopen path with
-// backend_downgrades == 1 and unchanged results.
+// on a healthy device).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,7 +13,6 @@
 #include "src/algos/programs.h"
 #include "src/engine/engine.h"
 #include "src/io/flaky_env.h"
-#include "src/io/posix_base.h"
 #include "tests/test_util.h"
 
 namespace nxgraph {
@@ -177,89 +173,7 @@ TEST(ResilienceSoakTest, ZeroFaultRateMeansZeroRetries) {
   EXPECT_EQ(stats->io_retries, 0u);
   EXPECT_EQ(stats->retry_wait_seconds, 0.0);
   EXPECT_EQ(stats->checksum_rereads, 0u);
-  EXPECT_EQ(stats->backend_downgrades, 0u);
   EXPECT_EQ(stats->dropped_write_errors, 0u);
-}
-
-// ---- mid-run backend downgrade --------------------------------------------
-
-class DowngradeTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    char tmpl[] = "/tmp/nxgraph_resilience_XXXXXX";
-    root_ = mkdtemp(tmpl);
-    ASSERT_FALSE(root_.empty());
-  }
-  void TearDown() override {
-    internal::SetUringFailAfterForTest(0);  // re-arm "never fail"
-    ASSERT_TRUE(Env::Default()->RemoveDirRecursively(root_).ok());
-  }
-
-  std::string Path(const std::string& name) const { return root_ + "/" + name; }
-
-  std::string root_;
-};
-
-// The ring dies mid-run: every subsequent submission returns the dead-ring
-// -EIO, a permanent error. The engine must reopen its files on the
-// buffered Env, restart the interrupted step, and finish with results
-// identical to a clean run — one downgrade, reported in RunStats.
-TEST_F(DowngradeTest, UringRingDeathDowngradesToBufferedMidRun) {
-  if (!UringSupported()) GTEST_SKIP() << "io_uring unavailable";
-  EdgeList edges = testing::RandomGraph(500, 7000, 55);
-  BuildOptions build;
-  build.num_intervals = 5;
-  build.build_transpose = true;
-  auto store = BuildGraphStore(edges, Path("store"), build);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  PageRankProgram program;
-  program.num_vertices = (*store)->num_vertices();
-
-  RunOptions opt;
-  opt.strategy = UpdateStrategy::kDoublePhase;
-  opt.max_iterations = 4;
-  opt.num_threads = 2;
-  opt.io_threads = 2;
-
-  RunOptions clean_opt = opt;
-  clean_opt.scratch_dir = Path("clean");
-  Engine<PageRankProgram> clean(*store, program, clean_opt);
-  ASSERT_TRUE(clean.Run().ok());
-
-  opt.io_backend = IoBackend::kUring;
-  opt.scratch_dir = Path("uring");
-  Engine<PageRankProgram> engine(*store, program, opt);
-  // Let setup and some of the run proceed on the ring, then kill it.
-  internal::SetUringFailAfterForTest(40);
-  auto stats = engine.Run();
-  internal::SetUringFailAfterForTest(0);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->backend_downgrades, 1u);
-  EXPECT_EQ(stats->io_backend, "buffered");
-  EXPECT_EQ(stats->iterations, 4);
-  EXPECT_EQ(engine.values(), clean.values());
-}
-
-// Without the kill switch the same run stays on the ring end to end.
-TEST_F(DowngradeTest, HealthyUringRunDoesNotDowngrade) {
-  if (!UringSupported()) GTEST_SKIP() << "io_uring unavailable";
-  EdgeList edges = testing::RandomGraph(300, 4000, 56);
-  BuildOptions build;
-  build.num_intervals = 4;
-  auto store = BuildGraphStore(edges, Path("store"), build);
-  ASSERT_TRUE(store.ok());
-  PageRankProgram program;
-  program.num_vertices = (*store)->num_vertices();
-  RunOptions opt;
-  opt.strategy = UpdateStrategy::kDoublePhase;
-  opt.max_iterations = 2;
-  opt.io_backend = IoBackend::kUring;
-  opt.scratch_dir = Path("healthy");
-  Engine<PageRankProgram> engine(*store, program, opt);
-  auto stats = engine.Run();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->backend_downgrades, 0u);
-  EXPECT_EQ(stats->io_backend, "uring");
 }
 
 }  // namespace

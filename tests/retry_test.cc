@@ -25,7 +25,7 @@ TEST(StatusClassificationTest, TransientErrnosAreRetryable) {
 }
 
 TEST(StatusClassificationTest, PermanentErrnosAreNotRetryable) {
-  // EIO is media/ring death (degrade, don't retry) and ENOSPC does not
+  // EIO is media failure (surface, don't retry) and ENOSPC does not
   // heal on a tight retry loop — both stay permanent by design.
   for (int err : {EIO, ENOSPC, EACCES, EBADF, EINVAL}) {
     Status s = Status::FromErrno("write", err);

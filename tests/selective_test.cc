@@ -2,7 +2,8 @@
 // inactive sub-shards end-to-end — engine phases and server query planning
 // — while keeping every result bit-identical to a summaries-off run.
 // Also covers the topology-only fingerprint (checkpoints survive a
-// manifest version bump) and the PlanRound budget edge cases.
+// manifest version bump), the manifest decoder's bounds on CRC-valid but
+// hostile input, and the PlanRound budget edge cases.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -205,6 +206,78 @@ TEST(ManifestV3Test, NonEmptyColumnsIndexMatchesTable) {
   EXPECT_TRUE(m.NonEmptyColumns(1)->empty());
   // No transpose table: the index is absent and callers fall back to scans.
   EXPECT_EQ(m.NonEmptyColumns(0, /*transpose=*/true), nullptr);
+}
+
+// ---- Manifest bounds (hostile but CRC-valid manifests) -------------------
+
+// Overwrites the fixed-width field at `offset` and re-signs the trailing
+// CRC, so Decode gets past the checksum and must judge the field itself.
+template <typename T>
+std::string PatchAndResign(std::string blob, size_t offset, T value) {
+  std::string field;
+  EncodeFixed<T>(&field, value);
+  blob.replace(offset, field.size(), field);
+  const size_t body = blob.size() - 4;
+  std::string crc;
+  EncodeFixed<uint32_t>(&crc, crc32c::Value(blob.data(), body));
+  blob.replace(body, 4, crc);
+  return blob;
+}
+
+// Byte offsets of the header fields in every manifest version: magic,
+// version, num_vertices, num_edges, num_intervals, then the two flag bytes;
+// v3 adds the two summary parameters before the offsets count.
+constexpr size_t kNumIntervalsAt = 4 + 4 + 8 + 8;
+size_t OffsetsCountAt(uint32_t version) {
+  return kNumIntervalsAt + 4 + 1 + 1 + (version >= 3 ? 8 : 0);
+}
+
+std::string EncodeVersion(const Manifest& m, uint32_t version) {
+  return version >= 3 ? m.Encode() : EncodeOldManifest(m, version);
+}
+
+void ExpectCorruption(const std::string& blob, const std::string& what) {
+  auto decoded = Manifest::Decode(blob);
+  ASSERT_FALSE(decoded.ok()) << what;
+  EXPECT_TRUE(decoded.status().IsCorruption())
+      << what << ": " << decoded.status().ToString();
+}
+
+TEST(ManifestBoundsTest, HugeSubShardCountIsCorruption) {
+  const Manifest m = SampleManifest();
+  for (uint32_t version : {1u, 2u, 3u}) {
+    const std::string blob = EncodeVersion(m, version);
+    ASSERT_TRUE(Manifest::Decode(blob).ok()) << "v" << version;
+    // The forward table's count follows the P + 1 interval offsets.
+    const size_t count_at = OffsetsCountAt(version) + 8 +
+                            4 * m.interval_offsets.size();
+    ExpectCorruption(PatchAndResign(blob, count_at, uint64_t{1} << 32),
+                     "v" + std::to_string(version));
+  }
+}
+
+TEST(ManifestBoundsTest, HugeIntervalCountIsCorruption) {
+  const Manifest m = SampleManifest();
+  for (uint32_t version : {1u, 2u, 3u}) {
+    std::string blob = PatchAndResign(EncodeVersion(m, version),
+                                      kNumIntervalsAt, uint32_t{0xFFFFFFFF});
+    // Keep the offsets count consistent with P so the bound itself (not
+    // the P + 1 cross-check) must reject the table.
+    blob = PatchAndResign(blob, OffsetsCountAt(version), uint64_t{1} << 32);
+    ExpectCorruption(blob, "v" + std::to_string(version));
+  }
+}
+
+TEST(ManifestBoundsTest, MalformedIntervalOffsetsAreCorruption) {
+  const Manifest m = SampleManifest();  // offsets {0, 32, 64}, n = 64
+  const std::string blob = m.Encode();
+  const size_t offsets_at = OffsetsCountAt(3) + 8;
+  ExpectCorruption(PatchAndResign(blob, offsets_at, uint32_t{1}),
+                   "first offset not 0");
+  ExpectCorruption(PatchAndResign(blob, offsets_at + 4, uint32_t{65}),
+                   "offsets decrease");
+  ExpectCorruption(PatchAndResign(blob, offsets_at + 8, uint32_t{63}),
+                   "last offset not num_vertices");
 }
 
 // ---- Shared selective-scheduling graph -----------------------------------
