@@ -444,10 +444,11 @@ class Engine {
   // streams, write-behind queue, the engine's own retried ops).
   RetryCounters counters_;
 
-  // Decode accounting: Run reports (store − base), so decodes a shared
-  // store served before this run are not charged to it.
+  // Decode and checksum accounting: Run reports (store − base), so work a
+  // shared store did before this run is not charged to it.
   uint64_t decode_calls_base_ = 0;
   uint64_t decode_nanos_base_ = 0;
+  uint64_t checksum_rereads_base_ = 0;
 
   // Accumulated by the (single-threaded) phase drivers.
   double phase_seconds_[4] = {0, 0, 0, 0};  // A, B, C, D
@@ -554,6 +555,7 @@ Status Engine<Program>::Prepare() {
   store_->SetSimdDecode(options_.simd_decode);
   decode_calls_base_ = store_->bulk_decode_calls();
   decode_nanos_base_ = store_->decode_nanos();
+  checksum_rereads_base_ = store_->checksum_rereads();
 
   active_.assign(p_, 0);
   next_active_ = std::make_unique<std::atomic<uint8_t>[]>(p_);
@@ -1619,7 +1621,7 @@ Result<RunStats> Engine<Program>::Run() {
       static_cast<double>(
           counters_.retry_wait_micros.load(std::memory_order_relaxed)) /
       1e6;
-  stats.checksum_rereads = store_->checksum_rereads();
+  stats.checksum_rereads = store_->checksum_rereads() - checksum_rereads_base_;
   stats.dropped_write_errors =
       counters_.dropped_write_errors.load(std::memory_order_relaxed);
   stats.io_backend = IoBackendName(backend_env_ != nullptr

@@ -252,7 +252,8 @@ struct RunStats {
   uint64_t io_retries = 0;
   /// Wall-clock the retry loops spent in backoff waits.
   double retry_wait_seconds = 0;
-  /// Decode corruptions given a second read (GraphStore re-read path).
+  /// Decode corruptions this run gave a second read (GraphStore re-read
+  /// path); earlier runs on a shared store are not counted.
   uint64_t checksum_rereads = 0;
   /// Write/flush errors suppressed by first-error-wins reporting at
   /// write-behind Drain barriers (each was also logged).

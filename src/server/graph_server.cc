@@ -34,25 +34,23 @@ double SecondsSince(std::chrono::steady_clock::time_point t) {
 Outcome<PointResult> ExecutePoint(const PointQuery& query,
                                   const QueryContext& ctx) {
   Outcome<PointResult> out;
+  auto run = [&](const auto& program, auto* values) {
+    auto r = RunPointTraversal(program, ctx, query.limits.max_hops,
+                               query.limits.io_byte_budget);
+    out.status = std::move(r.status);
+    out.result.stats = r.result.stats;
+    out.result.vertices = std::move(r.result.vertices);
+    *values = std::move(r.result.values);
+  };
   if (query.kind == QueryKind::kSssp) {
     CostCappedSsspProgram program;
     program.root = query.root;
     if (query.limits.max_cost > 0) program.max_cost = query.limits.max_cost;
-    auto r = RunPointTraversal(program, ctx, query.limits.max_hops,
-                               query.limits.io_byte_budget);
-    out.status = std::move(r.status);
-    out.result.stats = r.result.stats;
-    out.result.vertices = std::move(r.result.vertices);
-    out.result.costs = std::move(r.result.values);
+    run(program, &out.result.costs);
   } else {  // kBfs and kKHop: k-hop is BFS with the hop cap as the radius
     BfsProgram program;
     program.root = query.root;
-    auto r = RunPointTraversal(program, ctx, query.limits.max_hops,
-                               query.limits.io_byte_budget);
-    out.status = std::move(r.status);
-    out.result.stats = r.result.stats;
-    out.result.vertices = std::move(r.result.vertices);
-    out.result.hops = std::move(r.result.values);
+    run(program, &out.result.hops);
   }
   return out;
 }
@@ -258,13 +256,13 @@ void GraphServer::FinishQuery(const std::shared_ptr<LiveQuery>& lq,
 }
 
 QueryFuture<PointResult> GraphServer::Submit(const PointQuery& query) {
-  QueryFuture<PointResult> future;
   if (query.root >= store_->num_vertices()) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++submitted_;
       ++failed_;
     }
+    QueryFuture<PointResult> future;
     future.Complete({Status::InvalidArgument(
                          "query root " + std::to_string(query.root) +
                          " out of range (" +
@@ -272,20 +270,9 @@ QueryFuture<PointResult> GraphServer::Submit(const PointQuery& query) {
                      {}});
     return future;
   }
-  std::shared_ptr<LiveQuery> lq = NewLiveQuery(query.limits.deadline);
-  future.SetId(lq->id);
-  EnqueueTicket(
-      lq,
-      [this, query, lq, future](double queue_seconds) {
-        const auto start = std::chrono::steady_clock::now();
-        Outcome<PointResult> out = ExecutePoint(query, MakeContext(lq.get()));
-        out.result.stats.queue_seconds = queue_seconds;
-        out.result.stats.run_seconds = SecondsSince(start);
-        FinishQuery(lq, out.status, out.result.stats);
-        future.Complete(std::move(out));
-      },
-      [future](Status s) { future.Complete({std::move(s), {}}); });
-  return future;
+  return SubmitQuery<PointResult>(
+      query.limits.deadline,
+      [query](const QueryContext& ctx) { return ExecutePoint(query, ctx); });
 }
 
 bool GraphServer::Cancel(uint64_t query_id) {

@@ -358,79 +358,103 @@ inline void SettleDecodeStats(const QueryContext& ctx,
       static_cast<double>(tally.nanos.load(std::memory_order_relaxed)) / 1e9;
 }
 
-}  // namespace server_internal
-
-/// \brief Runs a root-seeded point traversal (BFS / SSSP / k-hop) to
-/// convergence, the hop cap, or budget exhaustion. Value state is lazy:
-/// intervals the traversal never reaches are never allocated, and the
-/// initial activity is O(|seeds|) (src/engine/traversal.h) — a point query
-/// on a quiet corner of the graph touches a handful of intervals, not V.
+/// \brief The one round loop behind every served query: synchronous
+/// (Jacobi) rounds that each plan the round's visits, stream them, and
+/// accumulate over all of them from the previous round's values, then
+/// apply. `max_rounds` caps propagation (BFS: every vertex within
+/// max_rounds hops is final); <= 0 runs until every interval goes inactive.
 ///
-/// Semantics are the engine's synchronous (Jacobi) model: one round
-/// accumulates over all planned sub-shards from the previous round's
-/// values, then applies. `max_rounds` caps propagation (BFS: every vertex
-/// within max_rounds hops is final); <= 0 runs to convergence.
-template <SeededProgram Program>
-Outcome<SparseTraversalResult<typename Program::Value>> RunPointTraversal(
-    const Program& program, const QueryContext& ctx, int max_rounds,
-    uint64_t io_byte_budget) {
+/// What differs between programs is decided at compile time from the
+/// contracts they already declare:
+///   - Accumulators: a monotone-skippable program (Apply(v, Identity(), old)
+///     == old) allocates an interval's accumulator on its first changed
+///     contribution and applies only those intervals; any other program
+///     (PageRank) accumulates densely and applies every vertex each round.
+///   - Frontier: a SeededProgram starts selective scheduling from an EXACT
+///     frontier (only the seeds differ from the default), so round 1
+///     already skips every blob the seeds cannot reach; any other program
+///     starts all-pass and tightens to the changed set after round 1.
+///   - Values: the initially active intervals (InitialActivity: the seed
+///     intervals for BFS/SSSP, every interval for PageRank/WCC) are created
+///     up front, any other interval on first touch — a point query on a
+///     quiet corner of the graph allocates a handful of intervals, not V.
+///
+/// On return `values` holds each interval's final values, empty for an
+/// interval never touched (every vertex there still holds its Init value),
+/// and no interval at all when a load failed. The caller shapes the output.
+template <VertexProgram Program>
+Status RunRounds(const Program& program, const QueryContext& ctx,
+                 EdgeDirection direction, int max_rounds,
+                 uint64_t io_byte_budget,
+                 std::vector<std::vector<typename Program::Value>>* values,
+                 QueryStats* stats) {
   using Value = typename Program::Value;
-  Outcome<SparseTraversalResult<Value>> out;
   const Manifest& m = ctx.store->manifest();
   const uint32_t p = m.num_intervals;
-  const std::vector<uint32_t>& degrees = *ctx.out_degrees;
-  QueryStats& stats = out.result.stats;
-  const auto decode_tally =
-      std::make_shared<server_internal::QueryDecodeTally>();
+  const bool use_forward = direction != EdgeDirection::kTranspose;
+  const bool use_transpose = direction != EdgeDirection::kForward;
+  const std::vector<uint32_t>& fwd_degrees = *ctx.out_degrees;
+  const std::vector<uint32_t>& t_degrees =
+      use_transpose ? *ctx.in_degrees : fwd_degrees;
+  const auto decode_tally = std::make_shared<QueryDecodeTally>();
 
   std::vector<uint8_t> active = InitialActivity(program, m);
-  std::vector<std::vector<Value>> values(p);
+  values->assign(p, {});
   auto ensure_values = [&](uint32_t i) {
-    if (values[i].empty()) InitIntervalValues(program, m, i, degrees, &values[i]);
+    if ((*values)[i].empty()) {
+      InitIntervalValues(program, m, i, fwd_degrees, &(*values)[i]);
+    }
   };
   // The seeds are part of the result even if the budget funds no I/O at
   // all (a zero-budget BFS still reports its root at hop 0).
-  for (VertexId v : program.SeedVertices()) ensure_values(m.IntervalOf(v));
+  for (uint32_t i = 0; i < p; ++i) {
+    if (active[i]) ensure_values(i);
+  }
 
-  // Selective scheduling: seeded traversals start from an EXACT frontier
-  // (only the seeds differ from the default value), so round 1 already
-  // skips every blob the seeds cannot contribute to.
   const bool selective =
       ctx.selective && Program::kMonotoneSkippable && m.has_summaries();
   std::vector<FrontierFilter> frontier;
   std::vector<FrontierFilter> next_frontier;
   if (selective) {
-    frontier = server_internal::MakeQueryFrontier(m);
-    next_frontier = server_internal::MakeQueryFrontier(m);
-    for (uint32_t i = 0; i < p; ++i) frontier[i].ResetToEmpty();
-    for (VertexId v : program.SeedVertices()) {
-      frontier[m.IntervalOf(v)].Add(v);
+    frontier = MakeQueryFrontier(m);
+    next_frontier = MakeQueryFrontier(m);
+    if constexpr (SeededProgram<Program>) {
+      for (FrontierFilter& f : frontier) f.ResetToEmpty();
+      for (VertexId v : program.SeedVertices()) {
+        frontier[m.IntervalOf(v)].Add(v);
+      }
     }
-    stats.summary_bytes = m.TotalSummaryBytes();
+    stats->summary_bytes = m.TotalSummaryBytes();
   }
 
   bool truncated = false;
   bool cancelled = false;
-  std::vector<server_internal::Visit> visits;
+  std::vector<Visit> visits;
   for (int round = 1; max_rounds <= 0 || round <= max_rounds; ++round) {
-    if (server_internal::Checkpoint(ctx, QueryPhase::kPlan,
-                                    static_cast<uint32_t>(round), 0, 0)) {
+    if (std::find(active.begin(), active.end(), 1) == active.end()) break;
+    if (Checkpoint(ctx, QueryPhase::kPlan, static_cast<uint32_t>(round), 0,
+                   0)) {
       cancelled = true;  // values hold rounds 1..round-1; iterations agree
       break;
     }
-    truncated = !server_internal::PlanRound(
-        m, active, /*skip_inactive=*/Program::kMonotoneSkippable,
-        /*use_forward=*/true, /*use_transpose=*/false,
-        selective ? &frontier : nullptr, io_byte_budget,
-        &stats.bytes_charged, &stats.subshards_skipped, &visits);
+    truncated = !PlanRound(
+        m, active, /*skip_inactive=*/Program::kMonotoneSkippable, use_forward,
+        use_transpose, selective ? &frontier : nullptr, io_byte_budget,
+        &stats->bytes_charged, &stats->subshards_skipped, &visits);
     if (visits.empty()) break;  // converged, or nothing left the budget funds
-    stats.iterations = round;
+    stats->iterations = round;
 
-    server_internal::RoundStream pins(ctx, visits, decode_tally, &stats);
+    RoundStream pins(ctx, visits, decode_tally, stats);
     std::vector<std::vector<Value>> acc(p);
-    for (const auto& v : visits) {
-      if (server_internal::Checkpoint(ctx, QueryPhase::kLoad,
-                                      static_cast<uint32_t>(round), v.i, v.j)) {
+    auto ensure_acc = [&](uint32_t j) {
+      acc[j].assign(m.interval_size(j), Program::Identity());
+    };
+    if constexpr (!Program::kMonotoneSkippable) {
+      for (uint32_t j = 0; j < p; ++j) ensure_acc(j);
+    }
+    for (const Visit& v : visits) {
+      if (Checkpoint(ctx, QueryPhase::kLoad, static_cast<uint32_t>(round), v.i,
+                     v.j)) {
         cancelled = true;
         break;
       }
@@ -443,65 +467,84 @@ Outcome<SparseTraversalResult<typename Program::Value>> RunPointTraversal(
           cancelled = true;
           break;
         }
-        out.status = pin.status();
-        server_internal::SettleDecodeStats(ctx, *decode_tally, &stats);
-        return out;
+        values->clear();
+        SettleDecodeStats(ctx, *decode_tally, stats);
+        return pin.status();
       }
-      ++stats.subshards_visited;
+      ++stats->subshards_visited;
       ensure_values(v.i);
-      server_internal::AccumulateSubShard(
-          program, **pin, values[v.i].data(), m.interval_begin(v.i),
-          m.interval_begin(v.j), degrees, &acc[v.j],
-          [&] { acc[v.j].assign(m.interval_size(v.j), Program::Identity()); });
+      AccumulateSubShard(program, **pin, (*values)[v.i].data(),
+                         m.interval_begin(v.i), m.interval_begin(v.j),
+                         v.transpose ? t_degrees : fwd_degrees, &acc[v.j],
+                         [&] { ensure_acc(v.j); });
     }
     // The round in flight is discarded WHOLE on cancellation (its
     // accumulators die here, unapplied; `pins` drops every pin it holds
     // and cancels queued loads on destruction) so the surviving values are
     // exactly rounds 1..round-1 — the same contract as a round cap.
-    if (!cancelled &&
-        server_internal::Checkpoint(ctx, QueryPhase::kApply,
-                                    static_cast<uint32_t>(round), 0, 0)) {
+    if (!cancelled && Checkpoint(ctx, QueryPhase::kApply,
+                                 static_cast<uint32_t>(round), 0, 0)) {
       cancelled = true;
     }
     if (cancelled) {
-      stats.iterations = round - 1;
+      stats->iterations = round - 1;
       break;
     }
 
     bool any_next = false;
-    std::vector<uint8_t> next_active(p, 0);
     if (selective) {
-      for (uint32_t i = 0; i < p; ++i) next_frontier[i].ResetToEmpty();
+      for (FrontierFilter& f : next_frontier) f.ResetToEmpty();
     }
     for (uint32_t j = 0; j < p; ++j) {
+      active[j] = 0;
       if (acc[j].empty()) continue;
       ensure_values(j);
+      std::vector<Value>& vals = (*values)[j];
       const VertexId begin = m.interval_begin(j);
-      bool changed = false;
-      for (uint32_t k = 0; k < values[j].size(); ++k) {
-        const Value old = values[j][k];
-        const Value next = program.Apply(begin + k, acc[j][k], old);
-        if (program.Changed(old, next)) {
-          changed = true;
+      for (uint32_t k = 0; k < vals.size(); ++k) {
+        const Value next = program.Apply(begin + k, acc[j][k], vals[k]);
+        if (program.Changed(vals[k], next)) {
+          active[j] = 1;
           if (selective) next_frontier[j].Add(begin + static_cast<VertexId>(k));
         }
-        values[j][k] = next;
+        vals[k] = next;
       }
-      next_active[j] = changed ? 1 : 0;
-      any_next = any_next || changed;
+      any_next = any_next || active[j];
     }
-    active.swap(next_active);
     if (selective) frontier.swap(next_frontier);
     if (truncated || !any_next) break;
   }
 
-  stats.truncated = !cancelled && truncated;
+  stats->truncated = !cancelled && truncated;
   if (ctx.progress != nullptr) {
     ctx.progress->Set(QueryPhase::kCollect, 0, 0, 0);
   }
+  SettleDecodeStats(ctx, *decode_tally, stats);
+  if (cancelled) {
+    stats->cancel_reason = ctx.cancel->reason();
+    return ctx.cancel->ToStatus();
+  }
+  return truncated ? TruncatedStatus(io_byte_budget) : Status::OK();
+}
+
+}  // namespace server_internal
+
+/// \brief Runs a root-seeded point traversal (BFS / SSSP / k-hop) forward
+/// to convergence, the hop cap, or budget exhaustion, and returns the
+/// reached vertices.
+template <SeededProgram Program>
+Outcome<SparseTraversalResult<typename Program::Value>> RunPointTraversal(
+    const Program& program, const QueryContext& ctx, int max_rounds,
+    uint64_t io_byte_budget) {
+  using Value = typename Program::Value;
+  Outcome<SparseTraversalResult<Value>> out;
+  std::vector<std::vector<Value>> values;
+  out.status = server_internal::RunRounds(
+      program, ctx, EdgeDirection::kForward, max_rounds, io_byte_budget,
+      &values, &out.result.stats);
+  const Manifest& m = ctx.store->manifest();
   const Value dflt = program.DefaultValue();
-  for (uint32_t i = 0; i < p; ++i) {
-    if (values[i].empty()) continue;
+  for (uint32_t i = 0; i < values.size(); ++i) {
     const VertexId begin = m.interval_begin(i);
     for (uint32_t k = 0; k < values[i].size(); ++k) {
       if (values[i][k] == dflt) continue;
@@ -509,166 +552,37 @@ Outcome<SparseTraversalResult<typename Program::Value>> RunPointTraversal(
       out.result.values.push_back(values[i][k]);
     }
   }
-  if (cancelled) {
-    stats.cancel_reason = ctx.cancel->reason();
-    out.status = ctx.cancel->ToStatus();
-  } else {
-    out.status = truncated ? server_internal::TruncatedStatus(io_byte_budget)
-                           : Status::OK();
-  }
-  server_internal::SettleDecodeStats(ctx, *decode_tally, &stats);
   return out;
 }
 
 /// \brief Runs a batch-analytics program (the Engine::Run workloads) over
-/// the server's SHARED cache instead of a private engine stack — dense
-/// per-query values, the same Jacobi rounds, and the same deterministic
-/// order as RunPointTraversal. `max_iterations <= 0` runs until every
-/// interval goes inactive.
+/// the server's SHARED cache instead of a private engine stack, and returns
+/// every vertex's value, indexed by id. `max_iterations <= 0` runs until
+/// every interval goes inactive.
 template <VertexProgram Program>
 Outcome<BatchResult<typename Program::Value>> RunBatchQuery(
     const Program& program, const QueryContext& ctx, EdgeDirection direction,
     int max_iterations, uint64_t io_byte_budget) {
   using Value = typename Program::Value;
   Outcome<BatchResult<Value>> out;
-  const Manifest& m = ctx.store->manifest();
-  const uint32_t p = m.num_intervals;
-  const bool use_forward = direction != EdgeDirection::kTranspose;
-  const bool use_transpose = direction != EdgeDirection::kForward;
-  QueryStats& stats = out.result.stats;
-  const auto decode_tally =
-      std::make_shared<server_internal::QueryDecodeTally>();
-
-  if (use_transpose && !ctx.store->has_transpose()) {
+  if (direction != EdgeDirection::kForward && !ctx.store->has_transpose()) {
     out.status = Status::InvalidArgument(
         "batch query needs transpose edges but the store has none");
     return out;
   }
-  const std::vector<uint32_t>& fwd_degrees = *ctx.out_degrees;
-  const std::vector<uint32_t>& t_degrees =
-      use_transpose ? *ctx.in_degrees : *ctx.out_degrees;
-
-  std::vector<uint8_t> active(p, 0);
-  std::vector<std::vector<Value>> values(p);
-  for (uint32_t i = 0; i < p; ++i) {
-    active[i] =
-        InitIntervalValues(program, m, i, fwd_degrees, &values[i]) ? 1 : 0;
-  }
-
-  // Dense-init programs start all-pass (every vertex may differ from the
-  // default); the frontier tightens to the changed set after iteration 1 —
-  // WCC on a mostly-converged graph skips the quiet blobs from then on.
-  const bool selective =
-      ctx.selective && Program::kMonotoneSkippable && m.has_summaries();
-  std::vector<FrontierFilter> frontier;
-  std::vector<FrontierFilter> next_frontier;
-  if (selective) {
-    frontier = server_internal::MakeQueryFrontier(m);
-    next_frontier = server_internal::MakeQueryFrontier(m);
-    stats.summary_bytes = m.TotalSummaryBytes();
-  }
-
-  bool truncated = false;
-  bool cancelled = false;
-  std::vector<server_internal::Visit> visits;
-  for (int iter = 1; max_iterations <= 0 || iter <= max_iterations; ++iter) {
-    bool any_active = false;
-    for (uint32_t i = 0; i < p; ++i) any_active = any_active || active[i];
-    if (!any_active) break;
-
-    if (server_internal::Checkpoint(ctx, QueryPhase::kPlan,
-                                    static_cast<uint32_t>(iter), 0, 0)) {
-      cancelled = true;
-      break;
-    }
-    truncated = !server_internal::PlanRound(
-        m, active, /*skip_inactive=*/Program::kMonotoneSkippable, use_forward,
-        use_transpose, selective ? &frontier : nullptr, io_byte_budget,
-        &stats.bytes_charged, &stats.subshards_skipped, &visits);
-    if (visits.empty()) break;
-    stats.iterations = iter;
-
-    server_internal::RoundStream pins(ctx, visits, decode_tally, &stats);
-    // Dense accumulators: non-monotone programs (PageRank) need Apply on
-    // every vertex each iteration, contributions or not.
-    std::vector<std::vector<Value>> acc(p);
-    for (uint32_t j = 0; j < p; ++j) {
-      acc[j].assign(m.interval_size(j), Program::Identity());
-    }
-    for (const auto& v : visits) {
-      if (server_internal::Checkpoint(ctx, QueryPhase::kLoad,
-                                      static_cast<uint32_t>(iter), v.i, v.j)) {
-        cancelled = true;
-        break;
-      }
-      Result<SubShardCache::Pin> pin = pins.Next();
-      if (!pin.ok()) {
-        if (ctx.cancel != nullptr && ctx.cancel->cancelled()) {
-          cancelled = true;
-          break;
-        }
-        out.status = pin.status();
-        server_internal::SettleDecodeStats(ctx, *decode_tally, &stats);
-        return out;
-      }
-      ++stats.subshards_visited;
-      server_internal::AccumulateSubShard(
-          program, **pin, values[v.i].data(), m.interval_begin(v.i),
-          m.interval_begin(v.j), v.transpose ? t_degrees : fwd_degrees,
-          &acc[v.j], [] {});
-    }
-    // As in RunPointTraversal: a cancelled iteration is discarded whole, so
-    // the surviving values equal a run capped at iter-1 iterations.
-    if (!cancelled &&
-        server_internal::Checkpoint(ctx, QueryPhase::kApply,
-                                    static_cast<uint32_t>(iter), 0, 0)) {
-      cancelled = true;
-    }
-    if (cancelled) {
-      stats.iterations = iter - 1;
-      break;
-    }
-
-    bool any_next = false;
-    if (selective) {
-      for (uint32_t i = 0; i < p; ++i) next_frontier[i].ResetToEmpty();
-    }
-    for (uint32_t j = 0; j < p; ++j) {
-      const VertexId begin = m.interval_begin(j);
-      bool changed = false;
-      for (uint32_t k = 0; k < values[j].size(); ++k) {
-        const Value old = values[j][k];
-        const Value next = program.Apply(begin + k, acc[j][k], old);
-        if (program.Changed(old, next)) {
-          changed = true;
-          if (selective) next_frontier[j].Add(begin + static_cast<VertexId>(k));
-        }
-        values[j][k] = next;
-      }
-      active[j] = changed ? 1 : 0;
-      any_next = any_next || changed;
-    }
-    if (selective) frontier.swap(next_frontier);
-    if (truncated || !any_next) break;
-  }
-
-  stats.truncated = !cancelled && truncated;
-  if (ctx.progress != nullptr) {
-    ctx.progress->Set(QueryPhase::kCollect, 0, 0, 0);
-  }
+  std::vector<std::vector<Value>> values;
+  out.status = server_internal::RunRounds(program, ctx, direction,
+                                          max_iterations, io_byte_budget,
+                                          &values, &out.result.stats);
+  const Manifest& m = ctx.store->manifest();
   out.result.values.reserve(m.num_vertices);
-  for (uint32_t i = 0; i < p; ++i) {
+  for (uint32_t i = 0; i < values.size(); ++i) {
+    if (values[i].empty()) {
+      InitIntervalValues(program, m, i, *ctx.out_degrees, &values[i]);
+    }
     out.result.values.insert(out.result.values.end(), values[i].begin(),
                              values[i].end());
   }
-  if (cancelled) {
-    stats.cancel_reason = ctx.cancel->reason();
-    out.status = ctx.cancel->ToStatus();
-  } else {
-    out.status = truncated ? server_internal::TruncatedStatus(io_byte_budget)
-                           : Status::OK();
-  }
-  server_internal::SettleDecodeStats(ctx, *decode_tally, &stats);
   return out;
 }
 

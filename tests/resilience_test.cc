@@ -148,7 +148,9 @@ TEST(ResilienceSoakTest, CheckpointedRunSurvivesTransientFaults) {
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->checkpoints_written, 4);
   EXPECT_EQ(soaked.values(), clean.values());
-  if (flaky.injected_faults() > 0) EXPECT_GT(stats->io_retries, 0u);
+  if (flaky.injected_faults() > 0) {
+    EXPECT_GT(stats->io_retries, 0u);
+  }
 }
 
 // Healthy device: a zero-rate FlakyEnv injects nothing and every
@@ -174,6 +176,42 @@ TEST(ResilienceSoakTest, ZeroFaultRateMeansZeroRetries) {
   EXPECT_EQ(stats->retry_wait_seconds, 0.0);
   EXPECT_EQ(stats->checksum_rereads, 0u);
   EXPECT_EQ(stats->dropped_write_errors, 0u);
+}
+
+// RunStats counts this run's checksum re-reads, not the shared store's
+// lifetime total: a bit flip healed during the first run must not be
+// charged again to a second run on the same store.
+TEST(ResilienceSoakTest, ChecksumRereadsArePerRun) {
+  EdgeList edges = testing::RandomGraph(300, 4000, 43);
+  auto ms = testing::BuildMemStore(edges, 4);
+  PageRankProgram program;
+  program.num_vertices = 300;
+
+  FlakyEnv flaky(ms.env.get());
+  auto reopened = GraphStore::Open(&flaky, "g");
+  ASSERT_TRUE(reopened.ok());
+  RunOptions opt;
+  opt.strategy = UpdateStrategy::kSinglePhase;
+  opt.max_iterations = 3;
+  opt.num_threads = 2;
+
+  // The first positional read of the first run is a sub-shard read, which
+  // is verified on first touch: the flip is caught and healed by one
+  // re-read.
+  flaky.ScheduleFault(FlakyEnv::OpKind::kRead, 1,
+                      FlakyEnv::FaultKind::kBitFlip);
+  Engine<PageRankProgram> first(*reopened, program, opt);
+  auto first_stats = first.Run();
+  ASSERT_TRUE(first_stats.ok()) << first_stats.status().ToString();
+  ASSERT_EQ(flaky.injected_bit_flips(), 1u);
+  EXPECT_EQ(first_stats->checksum_rereads, 1u);
+
+  Engine<PageRankProgram> second(*reopened, program, opt);
+  auto second_stats = second.Run();
+  ASSERT_TRUE(second_stats.ok()) << second_stats.status().ToString();
+  EXPECT_EQ(second_stats->checksum_rereads, 0u);
+  EXPECT_EQ(second.values(), first.values());
+  EXPECT_EQ((*reopened)->checksum_rereads(), 1u);
 }
 
 }  // namespace

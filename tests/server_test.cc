@@ -170,6 +170,166 @@ TEST(ServerTest, ConcurrentResultsMatchReferences) {
   EXPECT_EQ(out.wcc.result.values, wcc_ref);
 }
 
+// A weighted random multigraph for the differential test. Odd seeds draw
+// every destination from the lower half of the ids, so the upper intervals
+// are source-only: they receive no contribution in any round, and only a
+// dense accumulator applies PageRank's teleport term there.
+EdgeList DifferentialGraph(uint64_t seed) {
+  Xoshiro256 rng(seed);
+  const uint64_t n = 40 + rng.NextBounded(80);
+  const uint64_t dst_range = seed % 2 == 1 ? n / 2 : n;
+  EdgeList edges;
+  for (uint64_t e = 0; e < 5 * n; ++e) {
+    const VertexIndex src = rng.NextBounded(n);
+    const VertexIndex dst = rng.NextBounded(dst_range);
+    edges.AddWeighted(src, dst, static_cast<float>(rng.NextDouble()) + 0.01f);
+  }
+  return edges;
+}
+
+// Every served query shape, on one graph and one server configuration,
+// against the single-threaded reference algorithms.
+void CheckServingAgainstReferences(uint64_t seed) {
+  const EdgeList edges = DifferentialGraph(seed);
+  auto ms = testing::BuildMemStore(edges, 2 + static_cast<uint32_t>(seed % 4));
+  auto ref_graph = LoadReferenceGraph(*ms.store);
+  ASSERT_TRUE(ref_graph.ok());
+  const Manifest& m = ms.store->manifest();
+  const VertexId root = static_cast<VertexId>(seed * 7 % m.num_vertices);
+  const auto bfs_ref = ReferenceBfs(*ref_graph, root);
+  const auto sssp_ref = ReferenceSssp(*ref_graph, root);
+  const auto wcc_ref = ReferenceWcc(*ref_graph);
+  const int pr_iterations = 8;
+  const auto pr_ref = ReferencePageRank(*ref_graph, 0.85, pr_iterations);
+  const uint64_t half_store =
+      (m.TotalDecodedSubShardBytes(false) + m.TotalDecodedSubShardBytes(true)) /
+      2;
+
+  for (const size_t depth : {size_t{0}, size_t{2}}) {
+    for (const uint64_t budget : {uint64_t{0}, half_store}) {
+      SCOPED_TRACE("prefetch_depth " + std::to_string(depth) + ", budget " +
+                   std::to_string(budget));
+      GraphServer::Options o = ServerOpts(2, budget);
+      o.prefetch_depth = depth;
+      auto server = GraphServer::Open(ms.env.get(), "g", o);
+      ASSERT_TRUE(server.ok()) << server.status().ToString();
+      PointQuery bfs_q;
+      bfs_q.kind = QueryKind::kBfs;
+      bfs_q.root = root;
+      PointQuery sssp_q = bfs_q;
+      sssp_q.kind = QueryKind::kSssp;
+      PointQuery khop_q = bfs_q;
+      khop_q.kind = QueryKind::kKHop;
+      khop_q.limits.max_hops = 2;
+      auto bfs_f = (*server)->Submit(bfs_q);
+      auto sssp_f = (*server)->Submit(sssp_q);
+      auto khop_f = (*server)->Submit(khop_q);
+      BatchQuery wcc_spec;
+      wcc_spec.direction = EdgeDirection::kBoth;
+      auto wcc_f = (*server)->SubmitBatch(WccProgram{}, wcc_spec);
+      PageRankProgram pr;
+      pr.num_vertices = m.num_vertices;
+      BatchQuery pr_spec;
+      pr_spec.max_iterations = pr_iterations;
+      auto pr_f = (*server)->SubmitBatch(pr, pr_spec);
+      BfsProgram bfs_program;
+      bfs_program.root = root;
+      auto dense_bfs_f = (*server)->SubmitBatch(bfs_program, BatchQuery{});
+
+      const auto& bfs = bfs_f.Wait();
+      ASSERT_TRUE(bfs.status.ok()) << bfs.status.ToString();
+      std::vector<VertexId> reached;
+      std::vector<VertexId> within_two;
+      for (VertexId v = 0; v < bfs_ref.size(); ++v) {
+        if (bfs_ref[v] == UINT32_MAX) continue;
+        reached.push_back(v);
+        if (bfs_ref[v] <= 2) within_two.push_back(v);
+      }
+      ASSERT_EQ(bfs.result.vertices, reached);
+      for (size_t k = 0; k < reached.size(); ++k) {
+        EXPECT_EQ(bfs.result.hops[k], bfs_ref[reached[k]]);
+      }
+
+      const auto& sssp = sssp_f.Wait();
+      ASSERT_TRUE(sssp.status.ok()) << sssp.status.ToString();
+      ASSERT_EQ(sssp.result.vertices, reached);
+      for (size_t k = 0; k < reached.size(); ++k) {
+        EXPECT_NEAR(sssp.result.costs[k], sssp_ref[reached[k]], 1e-4);
+      }
+
+      const auto& khop = khop_f.Wait();
+      ASSERT_TRUE(khop.status.ok()) << khop.status.ToString();
+      ASSERT_EQ(khop.result.vertices, within_two);
+      for (size_t k = 0; k < within_two.size(); ++k) {
+        EXPECT_EQ(khop.result.hops[k], bfs_ref[within_two[k]]);
+      }
+
+      const auto& wcc = wcc_f.Wait();
+      ASSERT_TRUE(wcc.status.ok()) << wcc.status.ToString();
+      EXPECT_EQ(wcc.result.values, wcc_ref);
+
+      const auto& pagerank = pr_f.Wait();
+      ASSERT_TRUE(pagerank.status.ok()) << pagerank.status.ToString();
+      ASSERT_EQ(pagerank.result.values.size(), pr_ref.size());
+      for (size_t v = 0; v < pr_ref.size(); ++v) {
+        EXPECT_NEAR(pagerank.result.values[v], pr_ref[v], 1e-9)
+            << "vertex " << v;
+      }
+
+      // A seeded program through the dense output path: the point result at
+      // the reached vertices, the default value everywhere else.
+      const auto& dense_bfs = dense_bfs_f.Wait();
+      ASSERT_TRUE(dense_bfs.status.ok()) << dense_bfs.status.ToString();
+      std::vector<uint32_t> expected(m.num_vertices,
+                                     bfs_program.DefaultValue());
+      for (size_t k = 0; k < bfs.result.vertices.size(); ++k) {
+        expected[bfs.result.vertices[k]] = bfs.result.hops[k];
+      }
+      EXPECT_EQ(dense_bfs.result.values, expected);
+      EXPECT_EQ((*server)->cache()->pinned_entries(), 0u);
+    }
+  }
+}
+
+// Differential serving over many random graphs: point BFS, SSSP and 2-hop,
+// batch WCC (both directions) and PageRank, and a seeded program through
+// the batch path, each against src/algos/reference.cc, across synchronous
+// and read-ahead loads and an empty and a half-store cache.
+TEST(ServerTest, RandomGraphsMatchReferences) {
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    SCOPED_TRACE("graph seed " + std::to_string(seed));
+    CheckServingAgainstReferences(seed);
+    if (HasFailure()) break;  // the first failing seed is the one to debug
+  }
+}
+
+// A batch that needs transpose edges on a store built without them is
+// rejected before it plans or visits anything.
+TEST(ServerTest, TransposeBatchWithoutTransposeIsRejected) {
+  EdgeList edges = testing::RandomGraph(100, 1000, 86);
+  auto ms = testing::BuildMemStore(edges, 2, /*transpose=*/false);
+  auto server = GraphServer::Open(ms.env.get(), "g", ServerOpts(1, UINT64_MAX));
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  PageRankProgram pr;
+  pr.num_vertices = ms.store->num_vertices();
+  for (const EdgeDirection direction :
+       {EdgeDirection::kTranspose, EdgeDirection::kBoth}) {
+    BatchQuery spec;
+    spec.direction = direction;
+    spec.max_iterations = 3;
+    const auto pr_out = (*server)->SubmitBatch(pr, spec).Wait();
+    EXPECT_TRUE(pr_out.status.IsInvalidArgument()) << pr_out.status.ToString();
+    EXPECT_EQ(pr_out.result.stats.subshards_visited, 0u);
+    const auto wcc_out = (*server)->SubmitBatch(WccProgram{}, spec).Wait();
+    EXPECT_TRUE(wcc_out.status.IsInvalidArgument())
+        << wcc_out.status.ToString();
+    EXPECT_EQ(wcc_out.result.stats.subshards_visited, 0u);
+  }
+  BatchQuery forward;
+  forward.max_iterations = 3;
+  EXPECT_TRUE((*server)->SubmitBatch(pr, forward).Wait().status.ok());
+}
+
 TEST(ServerTest, AdmissionRejectsWhenQueueFull) {
   EdgeList edges = testing::RandomGraph(100, 1000, 73);
   auto ms = testing::BuildMemStore(edges, 2);

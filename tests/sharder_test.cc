@@ -88,7 +88,9 @@ TEST(SharderTest, SubShardInvariants) {
       ASSERT_TRUE(ss.ok()) << ss.status().ToString();
       // Destinations strictly ascending and within interval j.
       for (uint32_t g = 0; g < ss->num_dsts(); ++g) {
-        if (g > 0) EXPECT_LT(ss->dsts[g - 1], ss->dsts[g]);
+        if (g > 0) {
+          EXPECT_LT(ss->dsts[g - 1], ss->dsts[g]);
+        }
         EXPECT_GE(ss->dsts[g], b.manifest.interval_begin(j));
         EXPECT_LT(ss->dsts[g], b.manifest.interval_end(j));
         // Sources ascending within a destination group and within
