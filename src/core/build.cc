@@ -1,6 +1,5 @@
 #include "src/core/nxgraph.h"
-#include "src/prep/degreer.h"
-#include "src/prep/sharder.h"
+#include "src/prep/prep_internal.h"
 
 namespace nxgraph {
 
@@ -8,16 +7,18 @@ Result<std::shared_ptr<GraphStore>> BuildGraphStore(
     const EdgeList& edges, const std::string& dir,
     const BuildOptions& options) {
   Env* env = options.env != nullptr ? options.env : Env::Default();
-  NX_ASSIGN_OR_RETURN(DegreeResult degrees, RunDegreer(env, edges, dir));
+  const std::unique_ptr<ThreadPool> pool = prep_internal::NewBuildPool();
+  NX_ASSIGN_OR_RETURN(DegreeResult degrees,
+                      prep_internal::RunDegreer(env, edges, dir, pool.get()));
   SharderOptions sharder_options;
   sharder_options.num_intervals = options.num_intervals;
   sharder_options.build_transpose = options.build_transpose;
   sharder_options.dedup = options.dedup;
   sharder_options.format = options.subshard_format;
   sharder_options.summary = options.summary;
-  NX_ASSIGN_OR_RETURN(Manifest manifest,
-                      RunSharder(env, dir, degrees, sharder_options));
-  (void)manifest;
+  NX_RETURN_NOT_OK(prep_internal::RunSharder(env, dir, degrees,
+                                             sharder_options, pool.get())
+                       .status());
   return GraphStore::Open(env, dir);
 }
 

@@ -57,6 +57,11 @@ Status EdgeFileWriter::AddWeighted(VertexId src, VertexId dst, float weight) {
   return file_->Append(buf, sizeof(buf));
 }
 
+Status EdgeFileWriter::AddRecords(const char* records, size_t count) {
+  num_edges_ += count;
+  return file_->Append(records, count * RecordSize(weighted_));
+}
+
 Status EdgeFileWriter::Finish() {
   NX_RETURN_NOT_OK(file_->Close());
   file_.reset();
@@ -110,7 +115,7 @@ Result<size_t> EdgeFileReader::ReadBatch(size_t max_edges,
       static_cast<size_t>(std::min<uint64_t>(max_edges, remaining));
   if (want == 0) return size_t{0};
 
-  const size_t record = weighted_ ? 12 : 8;
+  const size_t record = EdgeFileWriter::RecordSize(weighted_);
   std::vector<char> buf(want * record);
   size_t n = 0;
   NX_RETURN_NOT_OK(file_->Read(buf.size(), buf.data(), &n));

@@ -30,6 +30,14 @@ class EdgeFileWriter {
   Status Add(VertexId src, VertexId dst);
   Status AddWeighted(VertexId src, VertexId dst, float weight);
 
+  /// Appends `count` edges already laid out as records ({src, dst} or
+  /// {src, dst, weight}, native byte order, matching `weighted`) in one
+  /// write: the bulk path for writers that relabel or bucket in batches.
+  Status AddRecords(const char* records, size_t count);
+
+  /// Bytes per record: 12 when weighted, 8 otherwise.
+  static size_t RecordSize(bool weighted) { return weighted ? 12 : 8; }
+
   /// Seals the file (rewrites the header with the final edge count).
   Status Finish();
 

@@ -1,9 +1,11 @@
 #include "src/prep/sharder.h"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 
 #include "src/graph/binary_io.h"
+#include "src/prep/prep_internal.h"
 #include "src/storage/subshard.h"
 #include "src/util/logging.h"
 
@@ -18,37 +20,96 @@ struct RowEdge {
   float weight;
 };
 
-// Builds the destination-sorted CSR sub-shard from a bucket of edges.
-SubShard BuildSubShard(uint32_t i, uint32_t j, std::vector<RowEdge>* edges,
+// Fewest items per slice of a parallel partition; below this the
+// partition runs on fewer slices.
+constexpr size_t kMinPartitionSliceItems = size_t{1} << 14;
+
+// Interval lookup for the sharder's equal intervals: a guess from the
+// vertex's proportional position, corrected by a step or two, gives the
+// same answer as a binary search over the boundaries.
+class IntervalFinder {
+ public:
+  explicit IntervalFinder(const std::vector<VertexId>& offsets)
+      : offsets_(offsets.data()),
+        p_(offsets.size() - 1),
+        n_(offsets.back()) {}
+
+  uint32_t operator()(VertexId v) const {
+    uint32_t i = static_cast<uint32_t>(uint64_t{v} * p_ / n_);
+    while (offsets_[i] > v) --i;
+    while (offsets_[i + 1] <= v) ++i;
+    return i;
+  }
+
+ private:
+  const VertexId* offsets_;
+  uint64_t p_;
+  uint64_t n_;
+};
+
+// Stable parallel counting sort of items [0, n) into `p` buckets: calls
+// emit(k, pos) with each item's position in the bucketed order, where the
+// items of bucket b fill [bounds[b], bounds[b + 1]) in input order.
+// Returns `bounds`. Each slice of the items is counted per bucket, then
+// scattered behind the earlier slices' items.
+template <typename BucketOf, typename Emit>
+std::vector<uint64_t> PartitionStable(ThreadPool* pool, size_t n, uint32_t p,
+                                      const BucketOf& bucket_of,
+                                      const Emit& emit) {
+  const size_t slices = std::clamp<size_t>(
+      n / kMinPartitionSliceItems, 1, pool->num_threads() + 1);
+  std::vector<std::vector<uint64_t>> cursor(slices,
+                                            std::vector<uint64_t>(p, 0));
+  pool->ForEachSlice(n, slices, [&](size_t s, size_t begin, size_t end) {
+    for (size_t k = begin; k < end; ++k) ++cursor[s][bucket_of(k)];
+  });
+  std::vector<uint64_t> bounds(p + 1);
+  uint64_t pos = 0;
+  for (uint32_t b = 0; b < p; ++b) {
+    bounds[b] = pos;
+    for (size_t s = 0; s < slices; ++s) {
+      const uint64_t count = cursor[s][b];
+      cursor[s][b] = pos;
+      pos += count;
+    }
+  }
+  bounds[p] = pos;
+  pool->ForEachSlice(n, slices, [&](size_t s, size_t begin, size_t end) {
+    for (size_t k = begin; k < end; ++k) emit(k, cursor[s][bucket_of(k)]++);
+  });
+  return bounds;
+}
+
+// Builds the destination-sorted CSR sub-shard from a bucket of edges
+// (sorted in place).
+SubShard BuildSubShard(uint32_t i, uint32_t j, RowEdge* first, RowEdge* last,
                        bool weighted, bool dedup) {
   // Primary sort by destination, secondary by source (paper §III-A: "we
   // also sort all edges with the same destination vertex by their source").
-  std::sort(edges->begin(), edges->end(), [](const RowEdge& a, const RowEdge& b) {
-    if (a.dst != b.dst) return a.dst < b.dst;
-    return a.src < b.src;
+  auto key = [](const RowEdge& e) { return uint64_t{e.dst} << 32 | e.src; };
+  std::sort(first, last, [&key](const RowEdge& a, const RowEdge& b) {
+    return key(a) < key(b);
   });
   if (dedup) {
-    edges->erase(std::unique(edges->begin(), edges->end(),
-                             [](const RowEdge& a, const RowEdge& b) {
-                               return a.dst == b.dst && a.src == b.src;
-                             }),
-                 edges->end());
+    last = std::unique(first, last, [](const RowEdge& a, const RowEdge& b) {
+      return a.dst == b.dst && a.src == b.src;
+    });
   }
   SubShard ss;
   ss.src_interval = i;
   ss.dst_interval = j;
-  ss.srcs.reserve(edges->size());
-  if (weighted) ss.weights.reserve(edges->size());
+  ss.srcs.reserve(last - first);
+  if (weighted) ss.weights.reserve(last - first);
   ss.offsets.push_back(0);
-  for (const RowEdge& e : *edges) {
-    if (ss.dsts.empty() || ss.dsts.back() != e.dst) {
+  for (const RowEdge* e = first; e != last; ++e) {
+    if (ss.dsts.empty() || ss.dsts.back() != e->dst) {
       if (!ss.dsts.empty()) {
         ss.offsets.push_back(static_cast<uint32_t>(ss.srcs.size()));
       }
-      ss.dsts.push_back(e.dst);
+      ss.dsts.push_back(e->dst);
     }
-    ss.srcs.push_back(e.src);
-    if (weighted) ss.weights.push_back(e.weight);
+    ss.srcs.push_back(e->src);
+    if (weighted) ss.weights.push_back(e->weight);
   }
   if (!ss.dsts.empty()) {
     ss.offsets.push_back(static_cast<uint32_t>(ss.srcs.size()));
@@ -56,45 +117,60 @@ SubShard BuildSubShard(uint32_t i, uint32_t j, std::vector<RowEdge>* edges,
   return ss;
 }
 
-// Streams the pre-shard into P row-bucket temp files (edges grouped by
-// source interval). `transpose` swaps src/dst first.
+std::string RowPath(const std::string& dir, bool transpose, uint32_t i) {
+  return dir + "/row_" + (transpose ? "t_" : "") + std::to_string(i) +
+         ".tmp";
+}
+
+// Streams the pre-shard once into P row-bucket temp files per direction
+// (edges grouped by source interval, in pre-shard order; the transpose
+// swaps src/dst first). Each batch is bucketed in parallel and written
+// with one append per non-empty row.
 Status BucketRows(Env* env, const std::string& dir,
                   const std::vector<VertexId>& interval_offsets,
-                  bool weighted, bool transpose, uint64_t batch_edges,
-                  std::vector<std::string>* row_paths) {
+                  bool weighted, bool build_transpose, uint64_t batch_edges,
+                  ThreadPool* pool) {
   const uint32_t p = static_cast<uint32_t>(interval_offsets.size()) - 1;
-  std::vector<std::unique_ptr<EdgeFileWriter>> writers(p);
-  row_paths->clear();
-  for (uint32_t i = 0; i < p; ++i) {
-    std::string path = dir + "/row_" + (transpose ? "t_" : "") +
-                       std::to_string(i) + ".tmp";
-    row_paths->push_back(path);
-    NX_ASSIGN_OR_RETURN(writers[i], EdgeFileWriter::Create(env, path, weighted));
+  const int directions = build_transpose ? 2 : 1;
+  std::vector<std::unique_ptr<EdgeFileWriter>> writers(directions * p);
+  for (int d = 0; d < directions; ++d) {
+    for (uint32_t i = 0; i < p; ++i) {
+      NX_ASSIGN_OR_RETURN(writers[d * p + i],
+                          EdgeFileWriter::Create(env, RowPath(dir, d == 1, i),
+                                                 weighted));
+    }
   }
 
   NX_ASSIGN_OR_RETURN(auto reader,
                       EdgeFileReader::Open(env, dir + "/" + kPreShardFileName));
+  const size_t record = EdgeFileWriter::RecordSize(weighted);
+  const IntervalFinder interval_of(interval_offsets);
   std::vector<Edge> batch;
   std::vector<float> weights;
-  auto interval_of = [&interval_offsets](VertexId v) {
-    auto it = std::upper_bound(interval_offsets.begin(),
-                               interval_offsets.end(), v);
-    return static_cast<uint32_t>(it - interval_offsets.begin()) - 1;
-  };
+  std::string records;
   for (;;) {
     NX_ASSIGN_OR_RETURN(size_t n, reader->ReadBatch(batch_edges, &batch,
                                                     weighted ? &weights
                                                              : nullptr));
     if (n == 0) break;
-    for (size_t k = 0; k < n; ++k) {
-      VertexId src = batch[k].src;
-      VertexId dst = batch[k].dst;
-      if (transpose) std::swap(src, dst);
-      const uint32_t row = interval_of(src);
-      if (weighted) {
-        NX_RETURN_NOT_OK(writers[row]->AddWeighted(src, dst, weights[k]));
-      } else {
-        NX_RETURN_NOT_OK(writers[row]->Add(src, dst));
+    records.resize(n * record);
+    for (int d = 0; d < directions; ++d) {
+      const bool transpose = d == 1;
+      const std::vector<uint64_t> bounds = PartitionStable(
+          pool, n, p,
+          [&](size_t k) {
+            return interval_of(transpose ? batch[k].dst : batch[k].src);
+          },
+          [&](size_t k, uint64_t pos) {
+            char* out = records.data() + pos * record;
+            std::memcpy(out, transpose ? &batch[k].dst : &batch[k].src, 4);
+            std::memcpy(out + 4, transpose ? &batch[k].src : &batch[k].dst, 4);
+            if (weighted) std::memcpy(out + 8, &weights[k], 4);
+          });
+      for (uint32_t i = 0; i < p; ++i) {
+        if (bounds[i] == bounds[i + 1]) continue;
+        NX_RETURN_NOT_OK(writers[d * p + i]->AddRecords(
+            records.data() + bounds[i] * record, bounds[i + 1] - bounds[i]));
       }
     }
   }
@@ -102,18 +178,21 @@ Status BucketRows(Env* env, const std::string& dir,
   return Status::OK();
 }
 
-// Processes one direction (forward or transpose): bucket into rows, then
-// for each row sort/split into P sub-shards and append blobs to `file_name`.
+// One sub-shard of a row, built and encoded by a pool task.
+struct EncodedSubShard {
+  std::string blob;
+  SubShardMeta meta;
+};
+
+// Processes one direction (forward or transpose) from its row files: for
+// each row, bucket by destination interval, build, encode and summarise
+// the P sub-shards as parallel tasks, then append the blobs in j order.
 Status ShardOneDirection(Env* env, const std::string& dir,
                          const std::vector<VertexId>& interval_offsets,
                          bool weighted, bool transpose,
-                         const SharderOptions& options,
+                         const SharderOptions& options, ThreadPool* pool,
                          std::vector<SubShardMeta>* table) {
   const uint32_t p = static_cast<uint32_t>(interval_offsets.size()) - 1;
-  std::vector<std::string> row_paths;
-  NX_RETURN_NOT_OK(BucketRows(env, dir, interval_offsets, weighted, transpose,
-                              options.batch_edges, &row_paths));
-
   const std::string shard_path =
       dir + "/" +
       (transpose ? kSubShardsTransposeFileName : kSubShardsFileName);
@@ -121,58 +200,83 @@ Status ShardOneDirection(Env* env, const std::string& dir,
   NX_RETURN_NOT_OK(env->NewWritableFile(shard_path, &out));
 
   table->assign(static_cast<size_t>(p) * p, SubShardMeta{});
+  const IntervalFinder interval_of(interval_offsets);
   uint64_t offset = 0;
+  std::vector<Edge> row;
+  std::vector<float> row_weights;
   std::vector<Edge> batch;
   std::vector<float> weights;
+  std::vector<EncodedSubShard> encoded(p);
   for (uint32_t i = 0; i < p; ++i) {
-    // Load the whole row and bucket it by destination interval.
-    NX_ASSIGN_OR_RETURN(auto reader, EdgeFileReader::Open(env, row_paths[i]));
-    std::vector<std::vector<RowEdge>> buckets(p);
-    auto interval_of = [&interval_offsets](VertexId v) {
-      auto it = std::upper_bound(interval_offsets.begin(),
-                                 interval_offsets.end(), v);
-      return static_cast<uint32_t>(it - interval_offsets.begin()) - 1;
-    };
+    const std::string row_path = RowPath(dir, transpose, i);
+    NX_ASSIGN_OR_RETURN(auto reader, EdgeFileReader::Open(env, row_path));
+    row.clear();
+    row_weights.clear();
+    row.reserve(reader->num_edges());
+    if (weighted) row_weights.reserve(reader->num_edges());
     for (;;) {
       NX_ASSIGN_OR_RETURN(size_t n,
                           reader->ReadBatch(options.batch_edges, &batch,
                                             weighted ? &weights : nullptr));
       if (n == 0) break;
-      for (size_t k = 0; k < n; ++k) {
-        const uint32_t j = interval_of(batch[k].dst);
-        buckets[j].push_back(RowEdge{batch[k].src, batch[k].dst,
-                                     weighted ? weights[k] : 1.0f});
+      row.insert(row.end(), batch.begin(), batch.end());
+      if (weighted) {
+        row_weights.insert(row_weights.end(), weights.begin(), weights.end());
       }
     }
     reader.reset();
-    NX_RETURN_NOT_OK(env->RemoveFile(row_paths[i]));
+    NX_RETURN_NOT_OK(env->RemoveFile(row_path));
+
+    std::vector<RowEdge> bucketed(row.size());
+    const std::vector<uint64_t> bounds = PartitionStable(
+        pool, row.size(), p,
+        [&](size_t k) { return interval_of(row[k].dst); },
+        [&](size_t k, uint64_t pos) {
+          bucketed[pos] = RowEdge{row[k].src, row[k].dst,
+                                  weighted ? row_weights[k] : 1.0f};
+        });
 
     // All blobs of row i share interval i's summary layout: their sources
-    // all fall in [interval_offsets[i], interval_offsets[i+1]).
+    // all fall in [interval_offsets[i], interval_offsets[i+1]). The largest
+    // buckets go first so the tail of the row stays short.
     const SummaryLayout row_layout = MakeSummaryLayout(
         options.summary, interval_offsets[i],
         interval_offsets[i + 1] - interval_offsets[i]);
-    for (uint32_t j = 0; j < p; ++j) {
-      SubShard ss =
-          BuildSubShard(i, j, &buckets[j], weighted, options.dedup);
-      buckets[j].clear();
-      buckets[j].shrink_to_fit();
-      const std::string blob = ss.Encode(options.format);
-      NX_RETURN_NOT_OK(out->Append(blob));
-      SubShardMeta& meta = (*table)[static_cast<size_t>(i) * p + j];
-      meta.offset = offset;
-      meta.size = blob.size();
-      meta.num_edges = ss.num_edges();
-      meta.num_dsts = ss.num_dsts();
-      meta.format = options.format;
-      if (row_layout.kind != SummaryKind::kNone && !ss.srcs.empty()) {
-        meta.summary_kind = row_layout.kind;
-        meta.summary.assign(row_layout.words(), 0);
-        for (VertexId src : ss.srcs) {
-          SummaryAddVertex(row_layout, src, meta.summary.data());
+    std::vector<uint32_t> order(p);
+    std::iota(order.begin(), order.end(), 0u);
+    std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return bounds[a + 1] - bounds[a] > bounds[b + 1] - bounds[b];
+    });
+    pool->ParallelFor(0, p, 1, [&](size_t k0, size_t k1) {
+      for (size_t k = k0; k < k1; ++k) {
+        const uint32_t j = order[k];
+        const SubShard ss = BuildSubShard(
+            i, j, bucketed.data() + bounds[j], bucketed.data() + bounds[j + 1],
+            weighted, options.dedup);
+        EncodedSubShard& e = encoded[j];
+        e.blob = ss.Encode(options.format);
+        e.meta.size = e.blob.size();
+        e.meta.num_edges = ss.num_edges();
+        e.meta.num_dsts = ss.num_dsts();
+        e.meta.format = options.format;
+        if (row_layout.kind != SummaryKind::kNone && !ss.srcs.empty()) {
+          e.meta.summary_kind = row_layout.kind;
+          e.meta.summary.assign(row_layout.words(), 0);
+          for (VertexId src : ss.srcs) {
+            SummaryAddVertex(row_layout, src, e.meta.summary.data());
+          }
         }
       }
-      offset += blob.size();
+    });
+    bucketed = {};
+
+    for (uint32_t j = 0; j < p; ++j) {
+      EncodedSubShard& e = encoded[j];
+      NX_RETURN_NOT_OK(out->Append(e.blob));
+      e.meta.offset = offset;
+      offset += e.blob.size();
+      (*table)[static_cast<size_t>(i) * p + j] = std::move(e.meta);
+      e = EncodedSubShard{};
     }
   }
   return out->Close();
@@ -191,6 +295,15 @@ std::vector<VertexId> MakeEqualIntervals(uint64_t num_vertices, uint32_t p) {
 Result<Manifest> RunSharder(Env* env, const std::string& dir,
                             const DegreeResult& degrees,
                             const SharderOptions& options) {
+  return prep_internal::RunSharder(env, dir, degrees, options,
+                                   prep_internal::NewBuildPool().get());
+}
+
+namespace prep_internal {
+
+Result<Manifest> RunSharder(Env* env, const std::string& dir,
+                            const DegreeResult& degrees,
+                            const SharderOptions& options, ThreadPool* pool) {
   if (options.num_intervals == 0) {
     return Status::InvalidArgument("num_intervals must be >= 1");
   }
@@ -212,17 +325,22 @@ Result<Manifest> RunSharder(Env* env, const std::string& dir,
   m.summary_bloom_bits = options.summary.bloom_bits;
   m.interval_offsets = MakeEqualIntervals(degrees.num_vertices, p);
 
+  NX_RETURN_NOT_OK(BucketRows(env, dir, m.interval_offsets, m.weighted,
+                              options.build_transpose, options.batch_edges,
+                              pool));
   NX_RETURN_NOT_OK(ShardOneDirection(env, dir, m.interval_offsets,
                                      m.weighted, /*transpose=*/false, options,
-                                     &m.subshards));
+                                     pool, &m.subshards));
   if (options.build_transpose) {
     NX_RETURN_NOT_OK(ShardOneDirection(env, dir, m.interval_offsets,
                                        m.weighted, /*transpose=*/true,
-                                       options, &m.subshards_transpose));
+                                       options, pool, &m.subshards_transpose));
   }
   m.BuildColumnIndex();
   NX_RETURN_NOT_OK(WriteManifest(env, dir, m));
   return m;
 }
+
+}  // namespace prep_internal
 
 }  // namespace nxgraph

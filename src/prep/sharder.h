@@ -30,9 +30,14 @@ struct SharderOptions {
   /// parallel edges as distinct contributions (GraphChi behaves the same).
   bool dedup = false;
 
-  /// Rows are bucketed to temporary files and processed one source interval
-  /// at a time, so peak memory is O(largest row), not O(m). This caps the
-  /// edge count per bucketing batch.
+  /// Edges per read of the pre-shard and of a row file. One read of the
+  /// pre-shard buckets its edges into per-row temporary files for both
+  /// directions; rows are then processed one source interval at a time, so
+  /// peak memory is O(batch_edges + largest row) plus one row's encoded
+  /// blobs, not O(m). Within a batch or a row the bucketing, and each of
+  /// the row's P sub-shards (sort, build, encode, summary), run in
+  /// parallel; the bytes written do not depend on this value or on the
+  /// core count.
   uint64_t batch_edges = 4 << 20;
 
   /// Blob encoding for the written sub-shards (recorded per blob in the
@@ -55,7 +60,9 @@ struct SharderOptions {
 /// \brief Runs sharding over the pre-shard produced by RunDegreer in `dir`,
 /// writing `subshards.nxs` (+ `subshards_t.nxs`) and the manifest.
 ///
-/// Returns the manifest it wrote.
+/// The CPU work runs on every core (a pool of its own; see
+/// prep_internal.h); Env calls stay on the calling thread and blobs are
+/// appended in (i, j) order. Returns the manifest it wrote.
 Result<Manifest> RunSharder(Env* env, const std::string& dir,
                             const DegreeResult& degrees,
                             const SharderOptions& options);

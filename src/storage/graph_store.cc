@@ -31,17 +31,71 @@ class DecodeTallyFold {
   DecodeTallies before_;
 };
 
+// Checks one direction's sub-shard table against its shard file's size
+// and the manifest; adds the table's edges to `*edges`.
+Status ValidateSubShardTable(const Manifest& m, bool transpose,
+                             uint64_t file_size, uint64_t* edges) {
+  const uint32_t p = m.num_intervals;
+  *edges = 0;
+  for (uint32_t i = 0; i < p; ++i) {
+    const SummaryLayout layout = m.summary_layout(i);
+    for (uint32_t j = 0; j < p; ++j) {
+      const SubShardMeta& meta = m.subshard(i, j, transpose);
+      auto corrupt = [&](const char* what) {
+        return Status::Corruption(std::string(transpose ? "transpose " : "") +
+                                  "sub-shard (" + std::to_string(i) + ", " +
+                                  std::to_string(j) + ") " + what);
+      };
+      if (meta.size > file_size || meta.offset > file_size - meta.size) {
+        return corrupt("lies past the end of its file");
+      }
+      if (meta.num_dsts > meta.num_edges ||
+          meta.num_dsts > m.interval_size(j)) {
+        return corrupt("has too many destinations");
+      }
+      if (meta.summary_kind != SummaryKind::kNone &&
+          (meta.summary_kind != layout.kind ||
+           meta.summary.size() != layout.words())) {
+        return corrupt("summary does not fit its row");
+      }
+      if (meta.num_edges > m.num_edges - *edges) {
+        return Status::Corruption(
+            std::string(transpose ? "transpose " : "") +
+            "sub-shards hold more edges than the manifest");
+      }
+      *edges += meta.num_edges;
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<std::shared_ptr<GraphStore>> GraphStore::Open(Env* env,
                                                      const std::string& dir) {
   std::shared_ptr<GraphStore> store(new GraphStore(env, dir));
   NX_ASSIGN_OR_RETURN(store->manifest_, ReadManifest(env, dir));
-  NX_RETURN_NOT_OK(env->NewRandomAccessFile(dir + "/" + kSubShardsFileName,
-                                            &store->shards_));
-  if (store->manifest_.has_transpose) {
-    NX_RETURN_NOT_OK(env->NewRandomAccessFile(
-        dir + "/" + kSubShardsTransposeFileName, &store->shards_transpose_));
+  const Manifest& m = store->manifest_;
+  const std::string forward_path = dir + "/" + kSubShardsFileName;
+  NX_ASSIGN_OR_RETURN(const uint64_t forward_size,
+                      env->GetFileSize(forward_path));
+  uint64_t forward_edges = 0;
+  NX_RETURN_NOT_OK(
+      ValidateSubShardTable(m, false, forward_size, &forward_edges));
+  NX_RETURN_NOT_OK(env->NewRandomAccessFile(forward_path, &store->shards_));
+  if (m.has_transpose) {
+    const std::string transpose_path = dir + "/" + kSubShardsTransposeFileName;
+    NX_ASSIGN_OR_RETURN(const uint64_t transpose_size,
+                        env->GetFileSize(transpose_path));
+    uint64_t transpose_edges = 0;
+    NX_RETURN_NOT_OK(
+        ValidateSubShardTable(m, true, transpose_size, &transpose_edges));
+    if (transpose_edges != forward_edges) {
+      return Status::Corruption(
+          "forward and transpose sub-shards hold different edge counts");
+    }
+    NX_RETURN_NOT_OK(
+        env->NewRandomAccessFile(transpose_path, &store->shards_transpose_));
   }
   return store;
 }

@@ -29,6 +29,12 @@ namespace nxgraph {
 class GraphStore {
  public:
   /// Opens an existing store directory (fails with NotFound/Corruption).
+  /// The sub-shard tables are checked against the shard files and the
+  /// manifest before any blob is read: every blob must lie within its
+  /// file, hold no more destinations than edges or than its destination
+  /// interval has vertices, and carry a summary of its row's layout; each
+  /// direction may hold at most the manifest's edge count, and both
+  /// directions the same count.
   static Result<std::shared_ptr<GraphStore>> Open(Env* env,
                                                   const std::string& dir);
 

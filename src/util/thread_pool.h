@@ -53,6 +53,14 @@ class ThreadPool {
   void ParallelFor(size_t begin, size_t end, size_t grain,
                    const std::function<void(size_t, size_t)>& fn);
 
+  /// Splits [0, n) into `slices` contiguous, near-equal shares and runs
+  /// `fn(slice, begin, end)` for each, on the workers plus the calling
+  /// thread. Unlike ParallelFor's dynamic chunks the split depends only on
+  /// `n` and `slices`, so per-slice partial results can be combined in
+  /// slice order.
+  void ForEachSlice(size_t n, size_t slices,
+                    const std::function<void(size_t, size_t, size_t)>& fn);
+
   int num_threads() const { return static_cast<int>(threads_.size()); }
 
  private:

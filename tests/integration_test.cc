@@ -121,19 +121,23 @@ TEST_F(IntegrationTest, TruncatedShardFileFailsLoudly) {
   EdgeList edges = testing::RandomGraph(80, 800, 85);
   auto store = BuildGraphStore(edges, root_ + "/store", {});
   ASSERT_TRUE(store.ok());
-  store->reset();
 
+  // Truncated in place under an open store: the blob reads come up short.
   const std::string shards_path = root_ + "/store/subshards.nxs";
-  std::string data;
-  ASSERT_TRUE(ReadFileToString(Env::Default(), shards_path, &data).ok());
-  data.resize(data.size() / 2);
-  ASSERT_TRUE(WriteStringToFile(Env::Default(), shards_path, data).ok());
-
-  auto reopened = OpenGraphStore(root_ + "/store");
-  ASSERT_TRUE(reopened.ok());  // manifest is fine
-  auto result = RunPageRank(*reopened, {}, RunOptions{});
+  auto size = Env::Default()->GetFileSize(shards_path);
+  ASSERT_TRUE(size.ok());
+  std::unique_ptr<RandomWriteFile> file;
+  ASSERT_TRUE(Env::Default()->NewRandomWriteFile(shards_path, &file).ok());
+  ASSERT_TRUE(file->Truncate(*size / 2).ok());
+  ASSERT_TRUE(file->Close().ok());
+  auto result = RunPageRank(*store, {}, RunOptions{});
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsCorruption());
+
+  // Reopened: the manifest's blob table no longer fits the file.
+  auto reopened = OpenGraphStore(root_ + "/store");
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_TRUE(reopened.status().IsCorruption());
 }
 
 TEST_F(IntegrationTest, WeightedBuildRunsSssp) {

@@ -280,6 +280,87 @@ TEST(ManifestBoundsTest, MalformedIntervalOffsetsAreCorruption) {
                    "last offset not num_vertices");
 }
 
+// ---- Sub-shard tables checked at GraphStore::Open -------------------------
+
+// A built store whose manifest each case rewrites (validly signed) with
+// one table entry made inconsistent with the shard files or the manifest.
+class ManifestBoundsOpenTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    env_ = NewMemEnv();
+    BuildOptions build;
+    build.num_intervals = 4;
+    build.summary = SummaryParams{};
+    build.env = env_.get();
+    // 40 vertices, 2000 edges: every blob has more edges than its
+    // destination interval has vertices.
+    ASSERT_TRUE(
+        BuildGraphStore(testing::RandomGraph(40, 2000, 3), "g", build).ok());
+    auto m = ReadManifest(env_.get(), "g");
+    ASSERT_TRUE(m.ok());
+    manifest_ = *m;
+    ASSERT_TRUE(GraphStore::Open(env_.get(), "g").ok());
+  }
+
+  SubShardMeta& Blob(uint32_t i, uint32_t j, bool transpose = false) {
+    auto& table = transpose ? manifest_.subshards_transpose
+                            : manifest_.subshards;
+    return table[i * manifest_.num_intervals + j];
+  }
+
+  void ExpectOpenCorruption(const std::string& what) {
+    ASSERT_TRUE(WriteManifest(env_.get(), "g", manifest_).ok());
+    auto store = GraphStore::Open(env_.get(), "g");
+    ASSERT_FALSE(store.ok()) << what;
+    EXPECT_TRUE(store.status().IsCorruption())
+        << what << ": " << store.status().ToString();
+  }
+
+  std::unique_ptr<Env> env_;
+  Manifest manifest_;
+};
+
+TEST_F(ManifestBoundsOpenTest, BlobPastEndOfFileIsCorruption) {
+  auto size = env_->GetFileSize("g/" + std::string(kSubShardsFileName));
+  ASSERT_TRUE(size.ok());
+  Blob(3, 3).offset = *size - Blob(3, 3).size + 1;
+  ExpectOpenCorruption("blob one byte past the end");
+}
+
+TEST_F(ManifestBoundsOpenTest, BlobOffsetOverflowIsCorruption) {
+  Blob(1, 2, /*transpose=*/true).offset = ~uint64_t{0} - 2;
+  ExpectOpenCorruption("offset + size wraps around");
+}
+
+TEST_F(ManifestBoundsOpenTest, MoreDestinationsThanEdgesIsCorruption) {
+  Blob(0, 1).num_dsts = static_cast<uint32_t>(Blob(0, 1).num_edges + 1);
+  ExpectOpenCorruption("num_dsts > num_edges");
+}
+
+TEST_F(ManifestBoundsOpenTest,
+       MoreDestinationsThanIntervalVerticesIsCorruption) {
+  ASSERT_GT(Blob(2, 0).num_edges, manifest_.interval_size(0));
+  Blob(2, 0).num_dsts = manifest_.interval_size(0) + 1;
+  ExpectOpenCorruption("num_dsts > destination interval size");
+}
+
+TEST_F(ManifestBoundsOpenTest, SummaryOfWrongSizeIsCorruption) {
+  ASSERT_EQ(Blob(1, 1).summary.size(), manifest_.summary_layout(1).words());
+  Blob(1, 1).summary.push_back(0);
+  ExpectOpenCorruption("summary word count");
+}
+
+TEST_F(ManifestBoundsOpenTest, MoreEdgesThanManifestIsCorruption) {
+  manifest_.num_edges -= 1;
+  ExpectOpenCorruption("sub-shard edges > manifest num_edges");
+}
+
+TEST_F(ManifestBoundsOpenTest, DirectionEdgeCountMismatchIsCorruption) {
+  ASSERT_GT(Blob(0, 0, true).num_edges, Blob(0, 0, true).num_dsts);
+  Blob(0, 0, /*transpose=*/true).num_edges -= 1;
+  ExpectOpenCorruption("forward and transpose edge counts differ");
+}
+
 // ---- Shared selective-scheduling graph -----------------------------------
 
 // One chain vertex per interval (the interval's first id) linked interval
