@@ -1,7 +1,6 @@
 #include "src/prep/degreer.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <iterator>
 
@@ -43,8 +42,6 @@ Status WriteDegreesFile(Env* env, const std::string& dir,
   return WriteStringToFile(env, dir + "/" + kDegreesFileName, out);
 }
 
-// Fewest edges per slice of a parallel scan.
-constexpr size_t kMinSliceEdges = size_t{1} << 14;
 // Edges per sort-and-unique task, and the fewest edges merged into the
 // mapping at once.
 constexpr size_t kSortChunkEdges = size_t{1} << 14;
@@ -92,16 +89,20 @@ std::vector<VertexIndex> MergeRuns(std::vector<std::vector<VertexIndex>> runs,
   return std::move(runs.front());
 }
 
-// Distinct endpoint indices in ascending order, by sorting. Edges are
-// merged into the mapping in batches at least half its size, so the merge
-// work stays linear overall and no 2E-entry array is ever live.
-std::vector<VertexIndex> SortedMapping(const EdgeList& edges,
-                                       ThreadPool* pool) {
+// Distinct endpoint indices in ascending order; position == dense id.
+// Edges are merged into the mapping in batches of at least half its size
+// (so the merge work stays linear overall) and at least 1/16 of the edges
+// (so each batch spreads many sort chunks over the pool). Besides the
+// mapping only one batch's endpoints are held, at most max(E/8, V, 128 Ki);
+// no 2E-entry array is built.
+std::vector<VertexIndex> BuildMapping(const EdgeList& edges,
+                                      ThreadPool* pool) {
   std::vector<VertexIndex> mapping;
   const size_t m = edges.num_edges();
   for (size_t begin = 0; begin < m;) {
     const size_t end =
-        std::min(m, begin + std::max(kMinMergeEdges, mapping.size() / 2));
+        std::min(m, begin + std::max({kMinMergeEdges, mapping.size() / 2,
+                                      m / 16}));
     const size_t chunks = (end - begin + kSortChunkEdges - 1) / kSortChunkEdges;
     std::vector<std::vector<VertexIndex>> runs(chunks + 1);
     pool->ParallelFor(0, chunks, 1, [&](size_t c0, size_t c1) {
@@ -117,71 +118,6 @@ std::vector<VertexIndex> SortedMapping(const EdgeList& edges,
   }
   mapping.shrink_to_fit();
   return mapping;
-}
-
-// Distinct endpoint indices in ascending order, by marking each index in
-// a bitmap over [min_index, min_index + span] (one per slice, OR-ed
-// together) and reading the set bits back in order.
-std::vector<VertexIndex> BitmapMapping(const EdgeList& edges,
-                                       VertexIndex min_index, uint64_t span,
-                                       size_t slices, ThreadPool* pool) {
-  const size_t words = span / 64 + 1;
-  std::vector<std::vector<uint64_t>> bits(slices,
-                                          std::vector<uint64_t>(words));
-  auto mark = [&](uint64_t* w, VertexIndex index) {
-    const uint64_t bit = index - min_index;
-    w[bit / 64] |= uint64_t{1} << (bit % 64);
-  };
-  pool->ForEachSlice(edges.num_edges(), slices,
-                     [&](size_t s, size_t begin, size_t end) {
-                       uint64_t* w = bits[s].data();
-                       for (size_t e = begin; e < end; ++e) {
-                         mark(w, edges.src(e));
-                         mark(w, edges.dst(e));
-                       }
-                     });
-  uint64_t* merged = bits[0].data();
-  pool->ForEachSlice(words, slices, [&](size_t, size_t begin, size_t end) {
-    for (size_t s = 1; s < bits.size(); ++s) {
-      for (size_t k = begin; k < end; ++k) merged[k] |= bits[s][k];
-    }
-  });
-  size_t count = 0;
-  for (size_t k = 0; k < words; ++k) count += std::popcount(merged[k]);
-  std::vector<VertexIndex> mapping;
-  mapping.reserve(count);
-  for (size_t k = 0; k < words; ++k) {
-    for (uint64_t w = merged[k]; w != 0; w &= w - 1) {
-      mapping.push_back(min_index + k * 64 + std::countr_zero(w));
-    }
-  }
-  return mapping;
-}
-
-// Distinct endpoint indices in ascending order; position == dense id.
-// Indices packed densely enough for a bitmap of at most 4 bits per edge
-// are marked in one; sparser ones are sorted. Both give the same mapping.
-std::vector<VertexIndex> BuildMapping(const EdgeList& edges,
-                                      ThreadPool* pool) {
-  const size_t m = edges.num_edges();
-  const size_t slices = std::clamp<size_t>(m / kMinSliceEdges, 1,
-                                           pool->num_threads() + 1);
-  std::vector<std::pair<VertexIndex, VertexIndex>> bounds(
-      slices, {~VertexIndex{0}, 0});
-  pool->ForEachSlice(m, slices, [&](size_t s, size_t begin, size_t end) {
-    auto& [lo, hi] = bounds[s];
-    for (size_t e = begin; e < end; ++e) {
-      lo = std::min({lo, edges.src(e), edges.dst(e)});
-      hi = std::max({hi, edges.src(e), edges.dst(e)});
-    }
-  });
-  VertexIndex lo = ~VertexIndex{0}, hi = 0;
-  for (const auto& [slice_lo, slice_hi] : bounds) {
-    lo = std::min(lo, slice_lo);
-    hi = std::max(hi, slice_hi);
-  }
-  if ((hi - lo) / 4 < m) return BitmapMapping(edges, lo, hi - lo, slices, pool);
-  return SortedMapping(edges, pool);
 }
 
 // Index -> id lookup for relabelling: a directory over the high bits of
@@ -269,7 +205,10 @@ Result<DegreeResult> RunDegreer(Env* env, const EdgeList& edges,
     const size_t count =
         std::min(kRelabelBatchEdges, edges.num_edges() - begin);
     records.resize(count * record);
-    pool->ForEachSlice(count, slices, [&](size_t s, size_t lo, size_t hi) {
+    // ParallelFor chunk s is slice s (see its boundary contract).
+    const size_t grain = (count + slices - 1) / slices;
+    pool->ParallelFor(0, count, grain, [&](size_t lo, size_t hi) {
+      const size_t s = lo / grain;
       uint32_t* out_deg = out_degrees[s].data();
       uint32_t* in_deg = in_degrees[s].data();
       for (size_t k = lo; k < hi; ++k) {

@@ -39,9 +39,8 @@ struct DegreeResult {
 /// "eliminate non-existing vertices".
 ///
 /// The CPU work runs on every core (a pool of its own; see
-/// prep_internal.h): collecting the distinct indices (a bitmap when they
-/// are dense, sort-and-merge otherwise), relabelling, and counting
-/// degrees. Env calls stay on the calling thread, the pre-shard is written
+/// prep_internal.h): collecting the distinct indices (sorted runs merged
+/// into the mapping batch by batch), relabelling, and counting degrees. Env calls stay on the calling thread, the pre-shard is written
 /// in batches of relabelled edges, and the files are byte-identical
 /// whatever the core count. `mapping` ends with capacity num_vertices; no
 /// array of all 2 * num_edges endpoints is ever built.

@@ -24,61 +24,70 @@ struct RowEdge {
 // partition runs on fewer slices.
 constexpr size_t kMinPartitionSliceItems = size_t{1} << 14;
 
-// Interval lookup for the sharder's equal intervals: a guess from the
-// vertex's proportional position, corrected by a step or two, gives the
-// same answer as a binary search over the boundaries.
-class IntervalFinder {
- public:
-  explicit IntervalFinder(const std::vector<VertexId>& offsets)
-      : offsets_(offsets.data()),
-        p_(offsets.size() - 1),
-        n_(offsets.back()) {}
+// Interval lookup for MakeEqualIntervals(n, p): interval i starts at
+// floor(n * i / p), so vertex v < n lies in the largest i with
+// n * i < p * (v + 1). One division instead of a binary search.
+struct EqualIntervals {
+  uint64_t n;
+  uint32_t p;
+  uint32_t Of(VertexId v) const {
+    return static_cast<uint32_t>((uint64_t{p} * (uint64_t{v} + 1) - 1) / n);
+  }
+};
 
-  uint32_t operator()(VertexId v) const {
-    uint32_t i = static_cast<uint32_t>(uint64_t{v} * p_ / n_);
-    while (offsets_[i] > v) --i;
-    while (offsets_[i + 1] <= v) ++i;
-    return i;
+// Stable parallel counting sort of items [0, n) into `p` buckets. The
+// constructor counts each slice of the items per bucket; Scatter() then
+// calls emit(k, pos) with bucket b's items at positions next[b],
+// next[b] + 1, ... in input order (each slice behind the earlier slices'
+// items) and advances next[b] past them.
+template <typename BucketOf>
+class StablePartition {
+ public:
+  StablePartition(ThreadPool* pool, size_t n, uint32_t p, BucketOf bucket_of)
+      : pool_(pool),
+        n_(n),
+        bucket_of_(std::move(bucket_of)),
+        slices_(std::clamp<size_t>(n / kMinPartitionSliceItems, 1,
+                                   pool->num_threads() + 1)),
+        grain_((n + slices_ - 1) / slices_),
+        cursor_(slices_, std::vector<uint64_t>(p, 0)) {
+    // ParallelFor chunk s is slice s (see its boundary contract).
+    pool_->ParallelFor(0, n_, grain_, [&](size_t begin, size_t end) {
+      std::vector<uint64_t>& counts = cursor_[begin / grain_];
+      for (size_t k = begin; k < end; ++k) ++counts[bucket_of_(k)];
+    });
+  }
+
+  // Items in bucket b; valid until Scatter().
+  uint64_t count(uint32_t b) const {
+    uint64_t total = 0;
+    for (const std::vector<uint64_t>& counts : cursor_) total += counts[b];
+    return total;
+  }
+
+  template <typename Emit>
+  void Scatter(std::vector<uint64_t>* next, const Emit& emit) {
+    for (size_t b = 0; b < next->size(); ++b) {
+      for (std::vector<uint64_t>& cursor : cursor_) {
+        const uint64_t count = cursor[b];
+        cursor[b] = (*next)[b];
+        (*next)[b] += count;
+      }
+    }
+    pool_->ParallelFor(0, n_, grain_, [&](size_t begin, size_t end) {
+      std::vector<uint64_t>& cursor = cursor_[begin / grain_];
+      for (size_t k = begin; k < end; ++k) emit(k, cursor[bucket_of_(k)]++);
+    });
   }
 
  private:
-  const VertexId* offsets_;
-  uint64_t p_;
-  uint64_t n_;
+  ThreadPool* const pool_;
+  const size_t n_;
+  const BucketOf bucket_of_;
+  const size_t slices_;
+  const size_t grain_;
+  std::vector<std::vector<uint64_t>> cursor_;  // [slice][bucket]
 };
-
-// Stable parallel counting sort of items [0, n) into `p` buckets: calls
-// emit(k, pos) with each item's position in the bucketed order, where the
-// items of bucket b fill [bounds[b], bounds[b + 1]) in input order.
-// Returns `bounds`. Each slice of the items is counted per bucket, then
-// scattered behind the earlier slices' items.
-template <typename BucketOf, typename Emit>
-std::vector<uint64_t> PartitionStable(ThreadPool* pool, size_t n, uint32_t p,
-                                      const BucketOf& bucket_of,
-                                      const Emit& emit) {
-  const size_t slices = std::clamp<size_t>(
-      n / kMinPartitionSliceItems, 1, pool->num_threads() + 1);
-  std::vector<std::vector<uint64_t>> cursor(slices,
-                                            std::vector<uint64_t>(p, 0));
-  pool->ForEachSlice(n, slices, [&](size_t s, size_t begin, size_t end) {
-    for (size_t k = begin; k < end; ++k) ++cursor[s][bucket_of(k)];
-  });
-  std::vector<uint64_t> bounds(p + 1);
-  uint64_t pos = 0;
-  for (uint32_t b = 0; b < p; ++b) {
-    bounds[b] = pos;
-    for (size_t s = 0; s < slices; ++s) {
-      const uint64_t count = cursor[s][b];
-      cursor[s][b] = pos;
-      pos += count;
-    }
-  }
-  bounds[p] = pos;
-  pool->ForEachSlice(n, slices, [&](size_t s, size_t begin, size_t end) {
-    for (size_t k = begin; k < end; ++k) emit(k, cursor[s][bucket_of(k)]++);
-  });
-  return bounds;
-}
 
 // Builds the destination-sorted CSR sub-shard from a bucket of edges
 // (sorted in place).
@@ -125,12 +134,14 @@ std::string RowPath(const std::string& dir, bool transpose, uint32_t i) {
 // Streams the pre-shard once into P row-bucket temp files per direction
 // (edges grouped by source interval, in pre-shard order; the transpose
 // swaps src/dst first). Each batch is bucketed in parallel and written
-// with one append per non-empty row.
+// with one append per non-empty row. Fills `counts` (P x P, row-major)
+// with the forward edges per (source interval, destination interval);
+// the transpose's are its mirror.
 Status BucketRows(Env* env, const std::string& dir,
-                  const std::vector<VertexId>& interval_offsets,
-                  bool weighted, bool build_transpose, uint64_t batch_edges,
-                  ThreadPool* pool) {
-  const uint32_t p = static_cast<uint32_t>(interval_offsets.size()) - 1;
+                  const EqualIntervals& intervals, bool weighted,
+                  bool build_transpose, uint64_t batch_edges,
+                  ThreadPool* pool, std::vector<uint64_t>* counts) {
+  const uint32_t p = intervals.p;
   const int directions = build_transpose ? 2 : 1;
   std::vector<std::unique_ptr<EdgeFileWriter>> writers(directions * p);
   for (int d = 0; d < directions; ++d) {
@@ -144,7 +155,7 @@ Status BucketRows(Env* env, const std::string& dir,
   NX_ASSIGN_OR_RETURN(auto reader,
                       EdgeFileReader::Open(env, dir + "/" + kPreShardFileName));
   const size_t record = EdgeFileWriter::RecordSize(weighted);
-  const IntervalFinder interval_of(interval_offsets);
+  counts->assign(static_cast<size_t>(p) * p, 0);
   std::vector<Edge> batch;
   std::vector<float> weights;
   std::string records;
@@ -156,17 +167,33 @@ Status BucketRows(Env* env, const std::string& dir,
     records.resize(n * record);
     for (int d = 0; d < directions; ++d) {
       const bool transpose = d == 1;
-      const std::vector<uint64_t> bounds = PartitionStable(
-          pool, n, p,
-          [&](size_t k) {
-            return interval_of(transpose ? batch[k].dst : batch[k].src);
-          },
-          [&](size_t k, uint64_t pos) {
-            char* out = records.data() + pos * record;
-            std::memcpy(out, transpose ? &batch[k].dst : &batch[k].src, 4);
-            std::memcpy(out + 4, transpose ? &batch[k].src : &batch[k].dst, 4);
-            if (weighted) std::memcpy(out + 8, &weights[k], 4);
-          });
+      StablePartition rows(pool, n, p, [&](size_t k) {
+        return intervals.Of(transpose ? batch[k].dst : batch[k].src);
+      });
+      // Row i's records fill [bounds[i], bounds[i + 1]) of `records`.
+      std::vector<uint64_t> bounds(p + 1, 0);
+      for (uint32_t i = 0; i < p; ++i) {
+        bounds[i + 1] = bounds[i] + rows.count(i);
+      }
+      std::vector<uint64_t> next(bounds.begin(), bounds.end() - 1);
+      rows.Scatter(&next, [&](size_t k, uint64_t pos) {
+        char* out = records.data() + pos * record;
+        std::memcpy(out, transpose ? &batch[k].dst : &batch[k].src, 4);
+        std::memcpy(out + 4, transpose ? &batch[k].src : &batch[k].dst, 4);
+        if (weighted) std::memcpy(out + 8, &weights[k], 4);
+      });
+      if (!transpose) {
+        pool->ParallelFor(0, p, 1, [&](size_t i0, size_t i1) {
+          for (size_t i = i0; i < i1; ++i) {
+            uint64_t* row_counts = counts->data() + i * p;
+            for (uint64_t r = bounds[i]; r < bounds[i + 1]; ++r) {
+              VertexId dst;
+              std::memcpy(&dst, records.data() + r * record + 4, 4);
+              ++row_counts[intervals.Of(dst)];
+            }
+          }
+        });
+      }
       for (uint32_t i = 0; i < p; ++i) {
         if (bounds[i] == bounds[i + 1]) continue;
         NX_RETURN_NOT_OK(writers[d * p + i]->AddRecords(
@@ -178,6 +205,48 @@ Status BucketRows(Env* env, const std::string& dir,
   return Status::OK();
 }
 
+// Reads the row file at `path` batch by batch into `bucketed`, whose
+// bucket j (edges into destination interval j) fills
+// [bounds[j], bounds[j + 1]) in file order, then deletes the file.
+Status ReadRow(Env* env, const std::string& path,
+               const EqualIntervals& intervals,
+               const std::vector<uint64_t>& bounds, bool weighted,
+               uint64_t batch_edges, ThreadPool* pool,
+               std::vector<RowEdge>* bucketed) {
+  const uint32_t p = intervals.p;
+  bucketed->resize(bounds[p]);
+  std::vector<uint64_t> next(bounds.begin(), bounds.end() - 1);
+  NX_ASSIGN_OR_RETURN(auto reader, EdgeFileReader::Open(env, path));
+  std::vector<Edge> batch;
+  std::vector<float> weights;
+  for (;;) {
+    NX_ASSIGN_OR_RETURN(size_t n,
+                        reader->ReadBatch(batch_edges, &batch,
+                                          weighted ? &weights : nullptr));
+    if (n == 0) break;
+    StablePartition dsts(pool, n, p,
+                         [&](size_t k) { return intervals.Of(batch[k].dst); });
+    for (uint32_t j = 0; j < p; ++j) {
+      if (dsts.count(j) > bounds[j + 1] - next[j]) {
+        return Status::Corruption(path + " holds more edges than were " +
+                                  "bucketed into it");
+      }
+    }
+    dsts.Scatter(&next, [&](size_t k, uint64_t pos) {
+      (*bucketed)[pos] =
+          RowEdge{batch[k].src, batch[k].dst, weighted ? weights[k] : 1.0f};
+    });
+  }
+  for (uint32_t j = 0; j < p; ++j) {
+    if (next[j] != bounds[j + 1]) {
+      return Status::Corruption(path + " holds fewer edges than were " +
+                                "bucketed into it");
+    }
+  }
+  reader.reset();
+  return env->RemoveFile(path);
+}
+
 // One sub-shard of a row, built and encoded by a pool task.
 struct EncodedSubShard {
   std::string blob;
@@ -185,14 +254,17 @@ struct EncodedSubShard {
 };
 
 // Processes one direction (forward or transpose) from its row files: for
-// each row, bucket by destination interval, build, encode and summarise
-// the P sub-shards as parallel tasks, then append the blobs in j order.
+// each row, scatter its edges batch by batch into destination-interval
+// buckets sized from `counts` (see BucketRows), then build, encode and
+// summarise the P sub-shards as parallel tasks and append the blobs in j
+// order.
 Status ShardOneDirection(Env* env, const std::string& dir,
                          const std::vector<VertexId>& interval_offsets,
-                         bool weighted, bool transpose,
-                         const SharderOptions& options, ThreadPool* pool,
-                         std::vector<SubShardMeta>* table) {
-  const uint32_t p = static_cast<uint32_t>(interval_offsets.size()) - 1;
+                         const EqualIntervals& intervals,
+                         const std::vector<uint64_t>& counts, bool weighted,
+                         bool transpose, const SharderOptions& options,
+                         ThreadPool* pool, std::vector<SubShardMeta>* table) {
+  const uint32_t p = intervals.p;
   const std::string shard_path =
       dir + "/" +
       (transpose ? kSubShardsTransposeFileName : kSubShardsFileName);
@@ -200,41 +272,19 @@ Status ShardOneDirection(Env* env, const std::string& dir,
   NX_RETURN_NOT_OK(env->NewWritableFile(shard_path, &out));
 
   table->assign(static_cast<size_t>(p) * p, SubShardMeta{});
-  const IntervalFinder interval_of(interval_offsets);
   uint64_t offset = 0;
-  std::vector<Edge> row;
-  std::vector<float> row_weights;
-  std::vector<Edge> batch;
-  std::vector<float> weights;
   std::vector<EncodedSubShard> encoded(p);
   for (uint32_t i = 0; i < p; ++i) {
-    const std::string row_path = RowPath(dir, transpose, i);
-    NX_ASSIGN_OR_RETURN(auto reader, EdgeFileReader::Open(env, row_path));
-    row.clear();
-    row_weights.clear();
-    row.reserve(reader->num_edges());
-    if (weighted) row_weights.reserve(reader->num_edges());
-    for (;;) {
-      NX_ASSIGN_OR_RETURN(size_t n,
-                          reader->ReadBatch(options.batch_edges, &batch,
-                                            weighted ? &weights : nullptr));
-      if (n == 0) break;
-      row.insert(row.end(), batch.begin(), batch.end());
-      if (weighted) {
-        row_weights.insert(row_weights.end(), weights.begin(), weights.end());
-      }
+    // Bucket j of the row fills [bounds[j], bounds[j + 1]) of `bucketed`.
+    std::vector<uint64_t> bounds(p + 1, 0);
+    for (uint32_t j = 0; j < p; ++j) {
+      bounds[j + 1] = bounds[j] + (transpose ? counts[size_t{j} * p + i]
+                                             : counts[size_t{i} * p + j]);
     }
-    reader.reset();
-    NX_RETURN_NOT_OK(env->RemoveFile(row_path));
-
-    std::vector<RowEdge> bucketed(row.size());
-    const std::vector<uint64_t> bounds = PartitionStable(
-        pool, row.size(), p,
-        [&](size_t k) { return interval_of(row[k].dst); },
-        [&](size_t k, uint64_t pos) {
-          bucketed[pos] = RowEdge{row[k].src, row[k].dst,
-                                  weighted ? row_weights[k] : 1.0f};
-        });
+    std::vector<RowEdge> bucketed;
+    NX_RETURN_NOT_OK(ReadRow(env, RowPath(dir, transpose, i), intervals,
+                             bounds, weighted, options.batch_edges, pool,
+                             &bucketed));
 
     // All blobs of row i share interval i's summary layout: their sources
     // all fall in [interval_offsets[i], interval_offsets[i+1]). The largest
@@ -325,16 +375,19 @@ Result<Manifest> RunSharder(Env* env, const std::string& dir,
   m.summary_bloom_bits = options.summary.bloom_bits;
   m.interval_offsets = MakeEqualIntervals(degrees.num_vertices, p);
 
-  NX_RETURN_NOT_OK(BucketRows(env, dir, m.interval_offsets, m.weighted,
+  const EqualIntervals intervals{degrees.num_vertices, p};
+
+  std::vector<uint64_t> counts;
+  NX_RETURN_NOT_OK(BucketRows(env, dir, intervals, m.weighted,
                               options.build_transpose, options.batch_edges,
-                              pool));
-  NX_RETURN_NOT_OK(ShardOneDirection(env, dir, m.interval_offsets,
-                                     m.weighted, /*transpose=*/false, options,
-                                     pool, &m.subshards));
+                              pool, &counts));
+  NX_RETURN_NOT_OK(ShardOneDirection(env, dir, m.interval_offsets, intervals,
+                                     counts, m.weighted, /*transpose=*/false,
+                                     options, pool, &m.subshards));
   if (options.build_transpose) {
-    NX_RETURN_NOT_OK(ShardOneDirection(env, dir, m.interval_offsets,
-                                       m.weighted, /*transpose=*/true,
-                                       options, pool, &m.subshards_transpose));
+    NX_RETURN_NOT_OK(ShardOneDirection(
+        env, dir, m.interval_offsets, intervals, counts, m.weighted,
+        /*transpose=*/true, options, pool, &m.subshards_transpose));
   }
   m.BuildColumnIndex();
   NX_RETURN_NOT_OK(WriteManifest(env, dir, m));

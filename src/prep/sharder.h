@@ -34,10 +34,16 @@ struct SharderOptions {
   /// pre-shard buckets its edges into per-row temporary files for both
   /// directions; rows are then processed one source interval at a time, so
   /// peak memory is O(batch_edges + largest row) plus one row's encoded
-  /// blobs, not O(m). Within a batch or a row the bucketing, and each of
-  /// the row's P sub-shards (sort, build, encode, summary), run in
-  /// parallel; the bytes written do not depend on this value or on the
-  /// core count.
+  /// blobs, not O(m). Per row that is 12 bytes per edge of destination
+  /// buckets (sized from counts taken while bucketing the pre-shard, and
+  /// filled one read batch at a time), the read batch, the row's P blobs,
+  /// and up to one sub-shard being built per core; plus a P x P table of
+  /// edge counts. The temporary row files of both directions are on disk
+  /// together, up to twice the pre-shard's size when the transpose is
+  /// built; each is deleted once its row is read. Within a batch or a row
+  /// the bucketing, and each of the row's P sub-shards (sort, build,
+  /// encode, summary), run in parallel; the bytes written do not depend on
+  /// this value or on the core count.
   uint64_t batch_edges = 4 << 20;
 
   /// Blob encoding for the written sub-shards (recorded per blob in the

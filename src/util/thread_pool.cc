@@ -103,14 +103,4 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
   wg->Wait();
 }
 
-void ThreadPool::ForEachSlice(
-    size_t n, size_t slices,
-    const std::function<void(size_t, size_t, size_t)>& fn) {
-  ParallelFor(0, slices, 1, [&](size_t first, size_t last) {
-    for (size_t s = first; s < last; ++s) {
-      fn(s, n * s / slices, n * (s + 1) / slices);
-    }
-  });
-}
-
 }  // namespace nxgraph

@@ -49,17 +49,14 @@ class ThreadPool {
   /// Runs `fn(begin, end)` over chunked subranges of [begin, end) on all
   /// workers plus the calling thread; returns when the range is exhausted.
   /// `grain` is the chunk size (>=1); chunks are claimed dynamically, which
-  /// load-balances skewed work such as power-law destination ranges.
+  /// load-balances skewed work such as power-law destination ranges. The
+  /// boundaries are fixed: chunk k is [begin + k*grain, begin + (k+1)*grain)
+  /// clipped to `end`, except that a pool without workers runs the whole
+  /// range as chunk 0. Either way k = (chunk begin - begin) / grain is
+  /// unique and below ceil((end - begin) / grain), so it can key per-chunk
+  /// partial results, and two calls with the same arguments split alike.
   void ParallelFor(size_t begin, size_t end, size_t grain,
                    const std::function<void(size_t, size_t)>& fn);
-
-  /// Splits [0, n) into `slices` contiguous, near-equal shares and runs
-  /// `fn(slice, begin, end)` for each, on the workers plus the calling
-  /// thread. Unlike ParallelFor's dynamic chunks the split depends only on
-  /// `n` and `slices`, so per-slice partial results can be combined in
-  /// slice order.
-  void ForEachSlice(size_t n, size_t slices,
-                    const std::function<void(size_t, size_t, size_t)>& fn);
 
   int num_threads() const { return static_cast<int>(threads_.size()); }
 

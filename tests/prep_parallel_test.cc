@@ -7,6 +7,7 @@
 // must come from the calling thread.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -298,8 +299,8 @@ TEST(PrepParallelTest, StoreBytesDoNotDependOnPoolSize) {
 }
 
 // The public entry points use a pool of their own; same bytes again, and
-// the mapping holds no spare capacity on either mapping path (seed 2 has
-// dense indices, seed 18 sparse ones).
+// the mapping holds no spare capacity for dense (seed 2) or sparse
+// (seed 18) indices.
 TEST(PrepParallelTest, PublicEntryPointsMatchSerialBuild) {
   ThreadPool serial(0);
   for (uint64_t seed : {2, 18}) {
@@ -320,6 +321,82 @@ TEST(PrepParallelTest, PublicEntryPointsMatchSerialBuild) {
           << name;
       EXPECT_TRUE(got == bytes) << name << " differs";
     }
+  }
+}
+
+// ---- Row files that disagree with the sharder's counts ---------------------
+
+// Moves the first edge appended to row file `row` into another destination
+// interval: its dst becomes 0, or the last vertex if it was in the first
+// interval (`first_interval_end` is that interval's end). The sharder's
+// per-sub-shard counts were taken before the append, so they no longer
+// match the file.
+class RowCorruptingEnv : public ThreadCheckEnv {
+ public:
+  RowCorruptingEnv(Env* base, std::string row, VertexId first_interval_end,
+                   VertexId last_vertex)
+      : ThreadCheckEnv(base),
+        row_(std::move(row)),
+        first_interval_end_(first_interval_end),
+        last_vertex_(last_vertex) {}
+
+  Status NewWritableFile(const std::string& path,
+                         std::unique_ptr<WritableFile>* out) override {
+    NX_RETURN_NOT_OK(ThreadCheckEnv::NewWritableFile(path, out));
+    if (path == row_) *out = std::make_unique<Corrupting>(std::move(*out), this);
+    return Status::OK();
+  }
+
+ private:
+  struct Corrupting : WritableFile {
+    Corrupting(std::unique_ptr<WritableFile> f, const RowCorruptingEnv* env)
+        : f(std::move(f)), env(env) {}
+    Status Append(const void* data, size_t n) override {
+      // The first append is the file header; the second starts the edges.
+      if (++appends != 2) return f->Append(data, n);
+      std::string bytes(static_cast<const char*>(data), n);
+      VertexId dst;
+      std::memcpy(&dst, bytes.data() + 4, 4);
+      dst = dst < env->first_interval_end_ ? env->last_vertex_ : 0;
+      std::memcpy(bytes.data() + 4, &dst, 4);
+      return f->Append(bytes);
+    }
+    Status Flush() override { return f->Flush(); }
+    Status Sync() override { return f->Sync(); }
+    Status Close() override { return f->Close(); }
+    std::unique_ptr<WritableFile> f;
+    const RowCorruptingEnv* env;
+    int appends = 0;
+  };
+
+  const std::string row_;
+  const VertexId first_interval_end_;
+  const VertexId last_vertex_;
+};
+
+TEST(PrepParallelTest, RowFileDisagreeingWithCountsIsCorruption) {
+  ThreadPool parallel(3);
+  for (uint64_t batch_edges : {uint64_t{4} << 20, uint64_t{97}}) {
+    SCOPED_TRACE("batch_edges=" + std::to_string(batch_edges));
+    const EdgeList edges = RandomBuildInput(2000, 20000, 7, true, 1);
+    auto mem = NewMemEnv();
+    auto degrees = prep_internal::RunDegreer(mem.get(), edges, "g", &parallel);
+    ASSERT_TRUE(degrees.ok()) << degrees.status().ToString();
+    SharderOptions options;
+    options.num_intervals = 4;
+    options.batch_edges = batch_edges;
+    const std::vector<VertexId> offsets =
+        MakeEqualIntervals(degrees->num_vertices, options.num_intervals);
+    RowCorruptingEnv env(mem.get(), "g/row_1.tmp", offsets[1],
+                         static_cast<VertexId>(degrees->num_vertices - 1));
+    auto manifest =
+        prep_internal::RunSharder(&env, "g", *degrees, options, &parallel);
+    ASSERT_FALSE(manifest.ok());
+    EXPECT_TRUE(manifest.status().IsCorruption())
+        << manifest.status().ToString();
+    EXPECT_NE(manifest.status().ToString().find("row_1.tmp"),
+              std::string::npos)
+        << manifest.status().ToString();
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <vector>
@@ -87,6 +88,28 @@ TEST_P(ParallelForTest, SingleElement) {
     calls.fetch_add(1);
   });
   EXPECT_EQ(calls.load(), 1);
+}
+
+// With workers, chunk k is [begin + k*grain, begin + (k+1)*grain) clipped
+// to the end, whichever thread claims it; without workers the whole range
+// is chunk 0. Callers key per-chunk results on k = (b - begin) / grain.
+TEST_P(ParallelForTest, ChunksHaveFixedBoundaries) {
+  ThreadPool pool(GetParam());
+  const size_t begin = 5, end = 1000, grain = 37;
+  const size_t chunks = (end - begin + grain - 1) / grain;
+  std::vector<std::atomic<size_t>> ends(chunks);
+  pool.ParallelFor(begin, end, grain, [&](size_t b, size_t e) {
+    ASSERT_EQ((b - begin) % grain, 0u);
+    const size_t k = (b - begin) / grain;
+    ASSERT_LT(k, chunks);
+    EXPECT_EQ(ends[k].exchange(e), 0u) << "chunk " << k << " ran twice";
+  });
+  for (size_t k = 0; k < chunks; ++k) {
+    const size_t want = GetParam() == 0
+                            ? (k == 0 ? end : 0)
+                            : std::min(begin + (k + 1) * grain, end);
+    EXPECT_EQ(ends[k].load(), want) << "chunk " << k;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, ParallelForTest,
